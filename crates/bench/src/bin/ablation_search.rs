@@ -2,7 +2,7 @@
 //! uniform random sampling at equal rollout budgets, scored by Fig.-7
 //! labeling accuracy and by coverage of the fastest class.
 
-use dr_core::{labeling_accuracy, mine_rules, run_pipeline_instrumented, Strategy};
+use dr_core::{labeling_accuracy, mine_rules, Strategy};
 use dr_mcts::MctsConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -37,13 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 seed: dr_bench::seed(),
             },
         ] {
-            let run = run_pipeline_instrumented(
-                &sc.space,
-                &sc.workload,
-                &sc.platform,
-                strategy,
-                &dr_bench::pipeline_config(),
-            )?;
+            let run = dr_bench::run_instrumented(&sc, strategy, &dr_bench::pipeline_config())?;
             // The per-iteration telemetry is the convergence curve
             // (best_time vs iteration) used by EXPERIMENTS.md.
             dr_bench::write_artifact(

@@ -4,7 +4,7 @@
 //! whose exhaustively-measured time falls inside the predicted class's
 //! performance range.
 
-use dr_core::{labeling_accuracy, mine_rules, run_pipeline_instrumented, Strategy};
+use dr_core::{labeling_accuracy, mine_rules, Strategy};
 use dr_mcts::MctsConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -34,13 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     ..Default::default()
                 },
             };
-            let run = run_pipeline_instrumented(
-                &sc.space,
-                &sc.workload,
-                &sc.platform,
-                strategy,
-                &dr_bench::pipeline_config(),
-            )?;
+            let run = dr_bench::run_instrumented(&sc, strategy, &dr_bench::pipeline_config())?;
             dr_bench::write_artifact(&format!("fig7_report_{budget}.json"), &run.report.to_json());
             dr_bench::write_artifact(
                 &format!("fig7_telemetry_{budget}.csv"),

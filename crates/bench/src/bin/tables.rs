@@ -7,7 +7,7 @@
 //! * `missing:`  — underconstrained: a canonical condition the budgeted
 //!   ruleset lacks (red / "insufficient rules" in the paper).
 
-use dr_core::{mine_rules, run_pipeline_instrumented, PipelineResult, Strategy};
+use dr_core::{mine_rules, PipelineResult, Strategy};
 use dr_mcts::MctsConfig;
 use dr_ml::{compare_to_canonical, rulesets_for_class};
 
@@ -30,13 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 ..Default::default()
             },
         };
-        let run = run_pipeline_instrumented(
-            &sc.space,
-            &sc.workload,
-            &sc.platform,
-            strategy,
-            &dr_bench::pipeline_config(),
-        )?;
+        let run = dr_bench::run_instrumented(&sc, strategy, &dr_bench::pipeline_config())?;
         dr_bench::write_artifact(
             &format!("tables_report_{budget}.json"),
             &run.report.to_json(),

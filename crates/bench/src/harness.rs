@@ -8,10 +8,7 @@
 //! report JSON, and returns it; callers append it to the matching
 //! history with [`crate::append_history`].
 
-use dr_core::{
-    explore_parallel, run_pipeline_instrumented, ExploreOutput, InstrumentedRun, PipelineConfig,
-    Strategy,
-};
+use dr_core::{explore_parallel, ExploreOutput, InstrumentedRun, PipelineConfig, Strategy};
 use dr_mcts::{MctsConfig, SimEvaluator};
 use dr_obs::json;
 use dr_spmv::SpmvScenario;
@@ -69,13 +66,7 @@ pub fn pipeline_report(scale: &str, seed: u64, out: &mut dyn Write) -> Result<St
     for (name, strategy) in legs {
         // The quick measurement protocol: this benchmark times the
         // pipeline machinery per phase, not the simulated measurements.
-        let run = run_pipeline_instrumented(
-            &sc.space,
-            &sc.workload,
-            &sc.platform,
-            strategy,
-            &PipelineConfig::quick(),
-        )?;
+        let run = crate::run_instrumented(&sc, strategy, &PipelineConfig::quick())?;
         let explore_s = run.report.phases.get("explore").unwrap_or(0.0);
         writeln!(
             out,
@@ -143,6 +134,11 @@ fn scaling_leg(
         || SimEvaluator::new(&sc.space, &sc.workload, &sc.platform, cfg),
         strategy,
         threads,
+        &dr_trace::Tracer::disabled(),
+        None,
+        None,
+        None,
+        false,
     )?;
     let wall_s = start.elapsed().as_secs_f64();
     let leg = ScalingLeg {
@@ -167,8 +163,8 @@ fn record_set(out: &ExploreOutput) -> Vec<(u64, u64)> {
 }
 
 /// Thread-scaling benchmark of the parallel exploration engine:
-/// exhaustive sweeps at 1/2/4/8 worker threads plus a root-parallel
-/// MCTS leg, verifying every leg reproduces the serial record set.
+/// exhaustive sweeps at 1/2/4/8 worker threads plus a shared-arena
+/// MCTS leg at 4 threads, verifying every leg reproduces the serial record set.
 /// Renders a progress table to `out` and returns the validated report
 /// JSON (one history entry).
 pub fn explore_report(scale: &str, seed: u64, out: &mut dyn Write) -> Result<String, BoxError> {
@@ -213,8 +209,8 @@ pub fn explore_report(scale: &str, seed: u64, out: &mut dyn Write) -> Result<Str
         legs.push(leg);
     }
 
-    // Root-parallel MCTS leg: workers share one result cache, so its hit
-    // rate measures how much re-simulation the cache absorbed.
+    // Shared-arena MCTS leg: the arena's repeat/distinct counters show how
+    // many rollouts landed on an already-measured traversal.
     let mcts = Strategy::Mcts {
         iterations: MCTS_BUDGET,
         config: MctsConfig {

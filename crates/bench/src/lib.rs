@@ -16,10 +16,11 @@
 
 pub mod harness;
 
-use dr_core::{explore, PipelineConfig, Strategy};
+use dr_core::{explore, run_pipeline_stored, InstrumentedRun, PipelineConfig, Strategy};
 use dr_mcts::{ExploredRecord, SimEvaluator};
-use dr_sim::BenchConfig;
+use dr_sim::{BenchConfig, SimError};
 use dr_spmv::SpmvScenario;
+use dr_trace::Tracer;
 
 /// Master seed used by the harness unless `DR_SEED` overrides it.
 pub const DEFAULT_SEED: u64 = 0xD5;
@@ -131,6 +132,25 @@ pub fn append_history(
         .unwrap_or(0);
     std::fs::write(path, &updated)?;
     Ok(count)
+}
+
+/// Runs the pipeline on `sc`, unobserved and without a result store,
+/// returning the mined result with its run report and telemetry.
+pub fn run_instrumented(
+    sc: &SpmvScenario,
+    strategy: Strategy,
+    cfg: &PipelineConfig,
+) -> Result<InstrumentedRun, SimError> {
+    run_pipeline_stored(
+        &sc.space,
+        &sc.workload,
+        &sc.platform,
+        strategy,
+        cfg,
+        &Tracer::disabled(),
+        None,
+        None,
+    )
 }
 
 /// Collects the exhaustive record set of the scenario — the canonical

@@ -1,27 +1,30 @@
 //! Exploration strategies: how the `(sequence, time)` sample set is
 //! collected before rule mining.
 //!
-//! Every strategy has a serial backend ([`explore_instrumented`]) and a
-//! parallel one ([`explore_parallel`]). The parallel engine is built so
-//! that the *record set* — which traversals were measured, and what each
-//! measurement returned — is a pure function of the strategy and its
-//! seed, independent of the thread count. The enabling invariant is that
+//! There are two entry points. [`explore`] is the serial reference: one
+//! evaluator, no threads, no observers. [`explore_parallel`] is the
+//! engine the pipeline runs: `threads` evaluators, optional tracing,
+//! events and static pruning, and an optional quarantine mode for chaos
+//! runs. At one thread the engine returns the serial reference's record
+//! list exactly. Above one thread the *record set* — which traversals
+//! were measured, and what each measurement returned — is a pure
+//! function of the strategy and its seed. The enabling invariant is that
 //! each evaluation is seeded by [`dr_dag::eval_seed`], a function of the
 //! traversal being measured rather than of when, where, or by which
 //! worker it is discovered.
 
 use dr_dag::{eval_seed, DecisionSpace, Traversal};
 use dr_mcts::{
-    CachingEvaluator, Evaluator, ExploredRecord, Mcts, MctsConfig, PruneHook, SearchTelemetry,
-    SharedMcts, TelemetryRow, TreeStats,
+    Evaluator, ExploredRecord, Mcts, MctsConfig, PruneHook, SearchTelemetry, SharedMcts,
+    TelemetryRow, TreeStats,
 };
 use dr_obs::events::EventSink;
 use dr_par::{
-    par_map_stream_isolated, par_map_stream_observed, split_budget, CacheStats, ItemOutcome,
-    PoolObserver, StripedCache,
+    panic_text, par_map_stream_isolated, par_map_stream_observed, CacheStats, ItemOutcome,
+    PoolObserver,
 };
 use dr_sim::{BenchResult, SimError, SimStats};
-use dr_trace::{SpanId, Tracer};
+use dr_trace::{Lane, SpanId, Tracer};
 use std::collections::HashMap;
 
 /// Master seed of the exhaustive strategy's evaluation seeds (the
@@ -29,10 +32,6 @@ use std::collections::HashMap;
 /// runner so a shard's measurements are bit-identical to the unsharded
 /// run's.
 pub(crate) const EXHAUSTIVE_MASTER_SEED: u64 = 0xE0E0_0000;
-
-/// Per-worker search-seed decorrelator for root-parallel MCTS
-/// (worker 0 keeps the configured seed unchanged).
-const WORKER_SEED_MIX: u64 = 0xA076_1D64_78BD_642F;
 
 /// MCTS iteration-span sampling rate: record one `mcts-iter` span every
 /// N iterations (`DR_TRACE_MCTS_RATE`, default 16, minimum 1). Sampling
@@ -58,27 +57,6 @@ pub fn events_rate() -> usize {
         .max(1)
 }
 
-/// Attaches a sampled event lane to a search when a live sink is
-/// present. The record set is unaffected: evaluation seeds are a pure
-/// function of the traversal.
-fn attach_mcts_events<E: Evaluator>(mcts: &mut Mcts<'_, E>, events: Option<&EventSink>) {
-    if let Some(sink) = events {
-        if sink.is_enabled() {
-            mcts.set_events(sink.clone(), events_rate());
-        }
-    }
-}
-
-/// Attaches a static-prune hook to a serial search when one is
-/// configured. Pruning cuts provably-doomed subtrees before any rollout
-/// enters them; it never affects which traversals *outside* the pruned
-/// subtrees are measured or what those measurements return.
-fn attach_mcts_prune<E: Evaluator>(mcts: &mut Mcts<'_, E>, prune: Option<&PruneHook>) {
-    if let Some(hook) = prune {
-        mcts.set_prune(hook.clone());
-    }
-}
-
 /// Forwards pool worker lifecycle callbacks to the event stream as
 /// `worker-start` / `worker-end` events.
 struct SinkPoolObserver {
@@ -98,25 +76,20 @@ impl PoolObserver for SinkPoolObserver {
     }
 }
 
-/// Attaches a sampled iteration-span lane named `mcts-{worker}` to a
-/// search, with a zero-length `mcts-dispatch` marker span carrying the
-/// causal edge from the pipeline's explore span.
-fn attach_mcts_lane<E: Evaluator>(
-    mcts: &mut Mcts<'_, E>,
-    tracer: &Tracer,
-    dispatch: Option<SpanId>,
-    worker: usize,
-) {
+/// A sampled iteration-span lane for a search, opened with a zero-length
+/// `mcts-dispatch` marker span carrying the causal edge from the
+/// pipeline's explore span (`None` when tracing is off).
+fn mcts_lane(tracer: &Tracer, name: &str, dispatch: Option<SpanId>) -> Option<Lane> {
     if !tracer.is_enabled() {
-        return;
+        return None;
     }
-    let mut lane = tracer.lane(&format!("mcts-{worker}"));
+    let mut lane = tracer.lane(name);
     if let Some(d) = dispatch {
         lane.enter("mcts-dispatch");
         lane.follows_from(d);
         lane.exit();
     }
-    mcts.set_trace(lane, mcts_trace_every());
+    Some(lane)
 }
 
 /// How to collect the sample set.
@@ -154,572 +127,323 @@ impl Strategy {
     }
 }
 
-/// Which parallel engine backs [`Strategy::Mcts`]. Non-MCTS strategies
-/// ignore the backend (they have a single parallel engine each).
+/// The MCTS engine selection. The thread count alone picks the engine:
+/// the serial tree at one thread, the shared arena above one, so `Auto`
+/// is the only choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SearchBackend {
     /// Serial tree at one thread (keeping the single-thread hot path
     /// free of batching overhead), shared tree above.
     #[default]
     Auto,
-    /// One shared tree with virtual-loss batch assembly at every thread
-    /// count (batch width = thread count).
-    Shared,
-    /// Legacy root parallelism: one tree per worker with decorrelated
-    /// search seeds, merged afterwards.
-    Root,
 }
 
-impl SearchBackend {
-    /// Resolves the backend from the `DR_SEARCH` environment variable:
-    /// `shared` / `root` select explicitly, anything else (or unset)
-    /// means [`SearchBackend::Auto`].
-    pub fn from_env() -> Self {
-        match std::env::var("DR_SEARCH").as_deref().map(str::trim) {
-            Ok("shared") => SearchBackend::Shared,
-            Ok("root") => SearchBackend::Root,
-            _ => SearchBackend::Auto,
-        }
-    }
-
-    /// The backend's short name, used in reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SearchBackend::Auto => "auto",
-            SearchBackend::Shared => "shared",
-            SearchBackend::Root => "root",
-        }
-    }
-}
-
-/// Collects explored records under a strategy.
+/// Collects explored records under a strategy with one evaluator on the
+/// calling thread: the serial reference that
+/// [`explore_parallel`] reproduces record for record at one thread.
 pub fn explore<E: Evaluator>(
-    space: &DecisionSpace,
-    eval: E,
-    strategy: Strategy,
-) -> Result<Vec<ExploredRecord>, SimError> {
-    explore_instrumented(space, eval, strategy).map(|(records, _, _)| records)
-}
-
-/// Like [`explore`], additionally returning the per-iteration
-/// [`SearchTelemetry`] and the evaluator's accumulated [`SimStats`]
-/// (`None` for evaluators that do not run the simulator).
-pub fn explore_instrumented<E: Evaluator>(
     space: &DecisionSpace,
     mut eval: E,
     strategy: Strategy,
-) -> Result<(Vec<ExploredRecord>, SearchTelemetry, Option<SimStats>), SimError> {
+) -> Result<Vec<ExploredRecord>, SimError> {
     match strategy {
-        Strategy::Exhaustive => {
-            let mut pairs = Vec::new();
-            for t in space.enumerate() {
+        Strategy::Exhaustive => space
+            .enumerate()
+            .map(|t| {
                 let result = eval.evaluate(&t, eval_seed(EXHAUSTIVE_MASTER_SEED, &t))?;
-                pairs.push((t, result));
-            }
-            let (records, telemetry) = exhaustive_records(pairs);
-            let stats = eval.sim_stats().cloned();
-            Ok((records, telemetry, stats))
-        }
+                Ok(ExploredRecord {
+                    traversal: t,
+                    result,
+                })
+            })
+            .collect(),
         Strategy::Mcts { iterations, config } => {
             let mut mcts = Mcts::new(space, eval, config);
             mcts.run(iterations)?;
-            let (records, telemetry, eval) = mcts.into_parts();
-            Ok((records, telemetry, eval.sim_stats().cloned()))
+            Ok(mcts.into_records())
         }
         Strategy::Random { iterations, seed } => {
-            let (records, telemetry) = dr_mcts::random_search_telemetry(
-                space,
-                |t: &Traversal, s: u64| eval.evaluate(t, s),
-                iterations,
-                seed,
-            )?;
-            let stats = eval.sim_stats().cloned();
-            Ok((records, telemetry, stats))
+            dr_mcts::random_search(space, eval, iterations, seed)
         }
     }
 }
 
-/// Everything one (possibly parallel) exploration run produced.
+/// Everything one exploration run produced.
 #[derive(Debug, Clone)]
 pub struct ExploreOutput {
     /// Distinct explored implementations with their measurements.
     pub records: Vec<ExploredRecord>,
-    /// One row per search iteration (renumbered globally when merged
-    /// from several workers).
+    /// One row per search iteration, numbered 1.. in the order the
+    /// engine committed them.
     pub telemetry: SearchTelemetry,
     /// Simulator statistics merged across workers (`None` when the
     /// evaluators do not run the simulator). The `u64` counters equal
     /// the serial run's exactly; floating-point aggregates may differ
     /// in the last bits because summation order differs.
     pub sim: Option<SimStats>,
-    /// Hit/miss counters of the shared result cache (all zero for
-    /// strategies that never re-visit a traversal).
+    /// Repeat/distinct counters of the shared MCTS arena (all zero for
+    /// the serial tree and for strategies that never re-visit a
+    /// traversal).
     pub cache: CacheStats,
     /// Number of worker threads actually used.
     pub threads: usize,
-    /// Traversals quarantined by the resilient backends, with the error
-    /// that killed their final attempt (always empty on the fault-free
-    /// paths; root-parallel MCTS reports counts only, via
-    /// [`ExploreOutput::quarantined`]).
+    /// Traversals the quarantining worker pool (exhaustive and random
+    /// strategies) dropped, with the error that killed their final
+    /// attempt. MCTS quarantines inside the tree and reports counts
+    /// only, via [`ExploreOutput::quarantined`].
     pub failures: Vec<(Traversal, SimError)>,
     /// Total traversals dropped instead of measured (≥ `failures.len()`;
     /// the difference is MCTS-internal quarantines).
     pub quarantined: u64,
     /// Subtrees retired by a static-prune hook before any rollout
-    /// entered them (summed across workers; zero without a hook or for
-    /// non-MCTS strategies).
+    /// entered them (zero without a hook or for non-MCTS strategies).
     pub pruned: u64,
     /// Final search-tree statistics (`None` for non-MCTS strategies).
-    /// For root-parallel runs the per-worker trees are merged: node,
-    /// rollout and fully-explored counts are summed, depth and time
-    /// bounds take the extremes.
     pub tree: Option<TreeStats>,
     /// Whether the run provably covered the whole space: always `true`
-    /// for `Exhaustive`, `true` for MCTS iff (any worker's) tree
-    /// exhausted, always `false` for `Random`.
+    /// for `Exhaustive`, `true` for MCTS iff the tree exhausted, always
+    /// `false` for `Random`.
     pub exhausted: bool,
 }
 
-/// Parallel [`explore_instrumented`]: evaluates with `threads` workers,
-/// each owning an evaluator built by `make_eval`.
-///
-/// For a fixed strategy/seed the returned record *set* — traversal and
-/// measurement pairs — is identical for every thread count (for
-/// [`Strategy::Mcts`] this holds whenever the budget exhausts the space;
-/// under a partial budget different worker trajectories may surface
-/// different subsets, though every measurement that does appear is still
-/// thread-count-invariant). `threads <= 1` delegates to the serial path.
+/// The exploration engine: evaluates with `threads` workers, each
+/// owning an evaluator built by `make_eval`.
 ///
 /// * `Exhaustive` streams the lazy enumeration through a chunked worker
-///   pool and restores canonical order afterwards, so even the record
-///   *order* matches the serial backend bit for bit.
+///   pool and restores canonical order afterwards, so the record *list*
+///   matches [`explore`] bit for bit at every thread count.
 /// * `Random` generates the rollout sequence serially (each iteration's
 ///   rollout is a pure function of `(seed, iteration)`), deduplicates,
-///   and fans out only the expensive evaluations.
-/// * `Mcts` runs root-parallel: one tree per worker with a decorrelated
-///   search seed, sharing one [`StripedCache`] so no worker re-simulates
-///   a traversal another has measured. Records are merged worker-major
-///   and deduplicated.
+///   and fans out only the expensive evaluations; the record list again
+///   matches [`explore`] at every thread count.
+/// * `Mcts` runs the serial tree at one thread (the record list equals
+///   [`explore`]'s) and the shared arena above one. The arena's batch
+///   width follows the thread count, so under a partial budget different
+///   thread counts may surface different subsets; once the budget
+///   exhausts the space, the record set is thread-count-invariant.
+///
+/// Observation never perturbs the record set: `tracer` records worker
+/// and chunk spans on the pool paths and sampled per-iteration spans on
+/// the MCTS paths, each lane linked back to the `dispatch` span (usually
+/// the pipeline's explore span) via a `follows_from` edge; `events`
+/// receives sampled `mcts-iter` events and `worker-start`/`worker-end`
+/// lifecycle events. `prune` retires provably-doomed MCTS subtrees
+/// before any rollout enters them (see [`dr_mcts::PruneHook`]).
+///
+/// `quarantine` selects the pool for the exhaustive and random
+/// strategies: with it, every evaluation is panic-isolated and a failing
+/// traversal lands in [`ExploreOutput::failures`] instead of aborting
+/// the exploration (the isolated pool emits no worker spans or events of
+/// its own; wrap the evaluator stack to observe it). MCTS quarantines in
+/// the tree whenever [`MctsConfig::max_failures`] allows, with or without
+/// the flag, and counts drops in [`ExploreOutput::quarantined`].
+#[allow(clippy::too_many_arguments)]
 pub fn explore_parallel<E, F>(
     space: &DecisionSpace,
     make_eval: F,
     strategy: Strategy,
     threads: usize,
-) -> Result<ExploreOutput, SimError>
-where
-    E: Evaluator + Send,
-    F: Fn() -> E + Sync,
-{
-    explore_parallel_traced(
-        space,
-        make_eval,
-        strategy,
-        threads,
-        &Tracer::disabled(),
-        None,
-    )
-}
-
-/// [`explore_parallel`] with causal tracing: worker and chunk spans on
-/// the pool paths, sampled per-iteration spans on the MCTS paths, each
-/// lane linked back to the pipeline's `dispatch` span (usually the
-/// explore-phase span) via a `follows_from` edge. A disabled tracer
-/// makes this identical to [`explore_parallel`].
-///
-/// Tracing never perturbs results: evaluation seeds are a pure function
-/// of the traversal, so the record set with tracing on equals the record
-/// set with tracing off, bit for bit.
-pub fn explore_parallel_traced<E, F>(
-    space: &DecisionSpace,
-    make_eval: F,
-    strategy: Strategy,
-    threads: usize,
-    tracer: &Tracer,
-    dispatch: Option<SpanId>,
-) -> Result<ExploreOutput, SimError>
-where
-    E: Evaluator + Send,
-    F: Fn() -> E + Sync,
-{
-    explore_parallel_watched(space, make_eval, strategy, threads, tracer, dispatch, None)
-}
-
-/// [`explore_parallel_traced`] with a live event stream: sampled
-/// `mcts-iter` events from the searches and `worker-start` /
-/// `worker-end` lifecycle events from the pool paths, all sharing the
-/// sink's monotone sequence. A `None` or disabled sink makes this
-/// identical to [`explore_parallel_traced`]; either way the record set
-/// is bit-identical to the unobserved run.
-#[allow(clippy::too_many_arguments)]
-pub fn explore_parallel_watched<E, F>(
-    space: &DecisionSpace,
-    make_eval: F,
-    strategy: Strategy,
-    threads: usize,
     tracer: &Tracer,
     dispatch: Option<SpanId>,
     events: Option<&EventSink>,
-) -> Result<ExploreOutput, SimError>
-where
-    E: Evaluator + Send,
-    F: Fn() -> E + Sync,
-{
-    explore_parallel_watched_backend(
-        space,
-        make_eval,
-        strategy,
-        threads,
-        tracer,
-        dispatch,
-        events,
-        SearchBackend::Auto,
-        None,
-    )
-}
-
-/// [`explore_parallel`] with an explicit MCTS [`SearchBackend`] (tests
-/// pin backends through this instead of mutating `DR_SEARCH`).
-pub fn explore_parallel_backend<E, F>(
-    space: &DecisionSpace,
-    make_eval: F,
-    strategy: Strategy,
-    threads: usize,
-    backend: SearchBackend,
-) -> Result<ExploreOutput, SimError>
-where
-    E: Evaluator + Send,
-    F: Fn() -> E + Sync,
-{
-    explore_parallel_watched_backend(
-        space,
-        make_eval,
-        strategy,
-        threads,
-        &Tracer::disabled(),
-        None,
-        None,
-        backend,
-        None,
-    )
-}
-
-/// The fully-parameterized parallel engine: tracing, events, an explicit
-/// MCTS [`SearchBackend`], and an optional static-prune hook (MCTS
-/// only; see [`dr_mcts::PruneHook`]).
-#[allow(clippy::too_many_arguments)]
-pub fn explore_parallel_watched_backend<E, F>(
-    space: &DecisionSpace,
-    make_eval: F,
-    strategy: Strategy,
-    threads: usize,
-    tracer: &Tracer,
-    dispatch: Option<SpanId>,
-    events: Option<&EventSink>,
-    backend: SearchBackend,
     prune: Option<PruneHook>,
+    quarantine: bool,
 ) -> Result<ExploreOutput, SimError>
 where
     E: Evaluator + Send,
     F: Fn() -> E + Sync,
 {
     let threads = threads.max(1);
-    if threads == 1 && backend != SearchBackend::Shared {
-        // The serial MCTS path keeps its tree in-process (no shared
-        // cache, no batch assembly), so it is traced here rather than
-        // via the parallel backends; the pool strategies reach their
-        // traced serial paths below.
-        if let Strategy::Mcts { iterations, config } = strategy {
+    let events = events.filter(|s| s.is_enabled());
+    let pool = Pool {
+        make_eval: &make_eval,
+        threads,
+        tracer,
+        dispatch,
+        events,
+        quarantine,
+    };
+    match strategy {
+        Strategy::Exhaustive => {
+            let (outcomes, sim) = pool.measure(space.enumerate(), EXHAUSTIVE_MASTER_SEED)?;
+            let (records, failures, _) = split_outcomes(outcomes);
+            let telemetry = exhaustive_telemetry(&records);
+            Ok(pool_output(
+                records, telemetry, sim, threads, failures, true,
+            ))
+        }
+        Strategy::Random { iterations, seed } => random_parallel(space, &pool, iterations, seed),
+        Strategy::Mcts { iterations, config } if threads == 1 => {
             let mut mcts = Mcts::new(space, make_eval(), config);
-            attach_mcts_lane(&mut mcts, tracer, dispatch, 0);
-            attach_mcts_events(&mut mcts, events);
-            attach_mcts_prune(&mut mcts, prune.as_ref());
+            if let Some(lane) = mcts_lane(tracer, "mcts-0", dispatch) {
+                mcts.set_trace(lane, mcts_trace_every());
+            }
+            if let Some(sink) = events {
+                mcts.set_events(sink.clone(), events_rate());
+            }
+            if let Some(hook) = prune {
+                mcts.set_prune(hook);
+            }
             mcts.run(iterations)?;
+            let quarantined = mcts.failures() as u64;
             let tree = mcts.stats();
             let exhausted = mcts.is_exhausted();
             let pruned = mcts.pruned();
             let (records, telemetry, eval) = mcts.into_parts();
-            let sim = eval.sim_stats().cloned();
-            return Ok(ExploreOutput {
+            Ok(ExploreOutput {
                 records,
                 telemetry,
-                sim,
+                sim: eval.sim_stats().cloned(),
                 cache: CacheStats::default(),
                 threads: 1,
                 failures: Vec::new(),
-                quarantined: 0,
+                quarantined,
                 pruned,
                 tree: Some(tree),
                 exhausted,
-            });
+            })
         }
-    }
-    match strategy {
-        Strategy::Exhaustive => {
-            exhaustive_parallel(space, &make_eval, threads, tracer, dispatch, events)
-        }
-        Strategy::Random { iterations, seed } => random_parallel(
-            space, &make_eval, iterations, seed, threads, tracer, dispatch, events,
+        Strategy::Mcts { iterations, config } => mcts_shared_parallel(
+            space, &make_eval, iterations, config, threads, tracer, dispatch, events, prune,
         ),
-        Strategy::Mcts { iterations, config } => match backend {
-            SearchBackend::Root => mcts_root_parallel(
-                space, &make_eval, iterations, config, threads, tracer, dispatch, events, prune,
-            ),
-            SearchBackend::Auto | SearchBackend::Shared => mcts_shared_parallel(
-                space, &make_eval, iterations, config, threads, tracer, dispatch, events, prune,
-            ),
-        },
     }
 }
 
-/// Quarantine-not-abort [`explore_parallel`] for chaos runs: every
-/// evaluation is panic-isolated, failing traversals are collected in
-/// [`ExploreOutput::failures`] instead of aborting the exploration, and
-/// the surviving records keep the fault-free engine's determinism
-/// guarantees (outcomes are a pure function of strategy, seed, and each
-/// traversal — never of the thread count).
-///
-/// * `Exhaustive` and `Random` stream through the isolated worker pool
-///   ([`dr_par::par_map_stream_isolated`]); telemetry rows count the
-///   surviving measurements.
-/// * `Mcts` relies on [`dr_mcts::MctsConfig::max_failures`] for in-tree
-///   quarantine (set it before calling, e.g. to the iteration budget)
-///   plus a worker-level `catch_unwind`; quarantined counts are summed
-///   into [`ExploreOutput::quarantined`].
-pub fn explore_parallel_resilient<E, F>(
-    space: &DecisionSpace,
-    make_eval: F,
-    strategy: Strategy,
+/// One traversal and what measuring it returned.
+type Outcome = (Traversal, Result<BenchResult, SimError>);
+
+/// Quarantined traversals with the error that killed their final attempt.
+type Failures = Vec<(Traversal, SimError)>;
+
+/// The worker pool of the exhaustive and random strategies.
+struct Pool<'a, F> {
+    make_eval: &'a F,
     threads: usize,
-) -> Result<ExploreOutput, SimError>
-where
-    E: Evaluator + Send,
-    F: Fn() -> E + Sync,
-{
-    explore_parallel_resilient_traced(
-        space,
-        make_eval,
-        strategy,
-        threads,
-        &Tracer::disabled(),
-        None,
-    )
+    tracer: &'a Tracer,
+    dispatch: Option<SpanId>,
+    events: Option<&'a EventSink>,
+    quarantine: bool,
 }
 
-/// [`explore_parallel_resilient`] with causal tracing (see
-/// [`explore_parallel_traced`]). The isolated pool paths trace at the
-/// evaluator level only (wrap the evaluator stack, e.g. in
-/// `TracingEvaluator`); the MCTS paths additionally record sampled
-/// per-iteration spans.
-pub fn explore_parallel_resilient_traced<E, F>(
-    space: &DecisionSpace,
-    make_eval: F,
-    strategy: Strategy,
-    threads: usize,
-    tracer: &Tracer,
-    dispatch: Option<SpanId>,
-) -> Result<ExploreOutput, SimError>
+impl<E, F> Pool<'_, F>
 where
     E: Evaluator + Send,
     F: Fn() -> E + Sync,
 {
-    explore_parallel_resilient_watched(space, make_eval, strategy, threads, tracer, dispatch, None)
-}
-
-/// [`explore_parallel_resilient_traced`] with a live event stream (see
-/// [`explore_parallel_watched`]). The isolated pool paths emit no
-/// worker events of their own — their observability lives at the
-/// evaluator level — while the MCTS paths emit sampled `mcts-iter` and
-/// (root-parallel) `worker-start`/`worker-end` events.
-#[allow(clippy::too_many_arguments)]
-pub fn explore_parallel_resilient_watched<E, F>(
-    space: &DecisionSpace,
-    make_eval: F,
-    strategy: Strategy,
-    threads: usize,
-    tracer: &Tracer,
-    dispatch: Option<SpanId>,
-    events: Option<&EventSink>,
-) -> Result<ExploreOutput, SimError>
-where
-    E: Evaluator + Send,
-    F: Fn() -> E + Sync,
-{
-    explore_parallel_resilient_watched_backend(
-        space,
-        make_eval,
-        strategy,
-        threads,
-        tracer,
-        dispatch,
-        events,
-        SearchBackend::Auto,
-        None,
-    )
-}
-
-/// [`explore_parallel_resilient_watched`] with an explicit MCTS
-/// [`SearchBackend`]. The shared backend needs no extra resilience
-/// scaffolding: its evaluation spawns already contain panics as
-/// structured errors, and in-tree quarantine is governed by
-/// [`dr_mcts::MctsConfig::max_failures`] exactly as on the fault-free
-/// path.
-#[allow(clippy::too_many_arguments)]
-pub fn explore_parallel_resilient_watched_backend<E, F>(
-    space: &DecisionSpace,
-    make_eval: F,
-    strategy: Strategy,
-    threads: usize,
-    tracer: &Tracer,
-    dispatch: Option<SpanId>,
-    events: Option<&EventSink>,
-    backend: SearchBackend,
-    prune: Option<PruneHook>,
-) -> Result<ExploreOutput, SimError>
-where
-    E: Evaluator + Send,
-    F: Fn() -> E + Sync,
-{
-    let threads = threads.max(1);
-    match strategy {
-        Strategy::Exhaustive => {
-            let traversals: Vec<Traversal> = space.enumerate().collect();
+    /// Measures every item at `eval_seed(master, t)` and returns the
+    /// outcomes in input order plus the workers' merged simulator
+    /// statistics. Without quarantine the first failure aborts the run;
+    /// with it, every evaluation is panic-isolated and a failing item
+    /// keeps its error.
+    fn measure(
+        &self,
+        items: impl Iterator<Item = Traversal> + Send,
+        master: u64,
+    ) -> Result<(Vec<Outcome>, Option<SimStats>), SimError> {
+        let make_eval = self.make_eval;
+        if self.quarantine {
+            let items: Vec<Traversal> = items.collect();
             let out = par_map_stream_isolated(
-                traversals.iter(),
-                threads,
+                items.iter(),
+                self.threads,
                 |_worker| make_eval(),
-                |eval, _i, t: &Traversal| eval.evaluate(t, eval_seed(EXHAUSTIVE_MASTER_SEED, t)),
+                |eval, _i, t: &Traversal| eval.evaluate(t, eval_seed(master, t)),
             );
-            Ok(resilient_output(traversals, out, threads, true))
-        }
-        Strategy::Random { iterations, seed } => {
-            let mut uniques: Vec<Traversal> = Vec::new();
-            let mut by_hash: HashMap<u64, Vec<usize>> = HashMap::new();
-            for iter in 0..iterations {
-                let t = dr_mcts::random_rollout(space, seed, iter as u64);
-                let hash = t.canonical_hash();
-                let known = by_hash
-                    .get(&hash)
-                    .into_iter()
-                    .flatten()
-                    .any(|&u| uniques[u] == t);
-                if !known {
-                    by_hash.entry(hash).or_default().push(uniques.len());
-                    uniques.push(t);
-                }
-            }
-            let out = par_map_stream_isolated(
-                uniques.iter(),
-                threads,
-                |_worker| make_eval(),
-                |eval, _i, t: &Traversal| eval.evaluate(t, eval_seed(seed, t)),
-            );
-            Ok(resilient_output(uniques, out, threads, false))
-        }
-        Strategy::Mcts { iterations, config } => {
-            if threads == 1 && backend != SearchBackend::Shared {
-                let mut mcts = Mcts::new(space, make_eval(), config);
-                attach_mcts_lane(&mut mcts, tracer, dispatch, 0);
-                attach_mcts_events(&mut mcts, events);
-                attach_mcts_prune(&mut mcts, prune.as_ref());
-                mcts.run(iterations)?;
-                let quarantined = mcts.failures() as u64;
-                let tree = mcts.stats();
-                let exhausted = mcts.is_exhausted();
-                let pruned = mcts.pruned();
-                let (records, telemetry, eval) = mcts.into_parts();
-                let sim = eval.sim_stats().cloned();
-                Ok(ExploreOutput {
-                    records,
-                    telemetry,
-                    sim,
-                    cache: CacheStats::default(),
-                    threads: 1,
-                    failures: Vec::new(),
-                    quarantined,
-                    pruned,
-                    tree: Some(tree),
-                    exhausted,
+            let outcomes = items
+                .into_iter()
+                .zip(out.items)
+                .map(|(t, item)| {
+                    let result = match item {
+                        ItemOutcome::Ok(result) => Ok(result),
+                        ItemOutcome::Failed(e) => Err(e),
+                        ItemOutcome::Panicked(detail) => Err(SimError::Panicked { detail }),
+                    };
+                    (t, result)
                 })
-            } else if backend == SearchBackend::Root {
-                mcts_root_parallel(
-                    space, &make_eval, iterations, config, threads, tracer, dispatch, events, prune,
-                )
-            } else {
-                mcts_shared_parallel(
-                    space, &make_eval, iterations, config, threads, tracer, dispatch, events, prune,
-                )
-            }
+                .collect();
+            return Ok((outcomes, merge_worker_stats(&out.states)));
         }
+        let observer = self.events.map(|s| SinkPoolObserver { sink: s.clone() });
+        let (outcomes, states) = par_map_stream_observed(
+            items,
+            self.threads,
+            self.tracer,
+            self.dispatch,
+            observer.as_ref().map(|o| o as &dyn PoolObserver),
+            |_worker| make_eval(),
+            |eval, _i, t: Traversal| {
+                let result = eval.evaluate(&t, eval_seed(master, &t))?;
+                Ok((t, Ok(result)))
+            },
+        )?;
+        Ok((outcomes, merge_worker_stats(&states)))
     }
 }
 
-/// Folds the isolated pool's per-item outcomes (parallel to
-/// `traversals`) into an [`ExploreOutput`]: survivors become records in
-/// input order, quarantined items keep their traversal and error.
-fn resilient_output<E: Evaluator>(
-    traversals: Vec<Traversal>,
-    out: dr_par::PoolOutcome<BenchResult, E, SimError>,
+/// Splits pool outcomes (in input order) into records and quarantined
+/// failures. `kept[i]` is item `i`'s record index (`None` if it failed).
+fn split_outcomes(outcomes: Vec<Outcome>) -> (Vec<ExploredRecord>, Failures, Vec<Option<usize>>) {
+    let mut records = Vec::with_capacity(outcomes.len());
+    let mut failures = Vec::new();
+    let mut kept = Vec::with_capacity(outcomes.len());
+    for (traversal, result) in outcomes {
+        match result {
+            Ok(result) => {
+                kept.push(Some(records.len()));
+                records.push(ExploredRecord { traversal, result });
+            }
+            Err(e) => {
+                kept.push(None);
+                failures.push((traversal, e));
+            }
+        }
+    }
+    (records, failures, kept)
+}
+
+/// The output of a pool strategy (no tree, no pruning, no cache).
+fn pool_output(
+    records: Vec<ExploredRecord>,
+    telemetry: SearchTelemetry,
+    sim: Option<SimStats>,
     threads: usize,
+    failures: Failures,
     exhausted: bool,
 ) -> ExploreOutput {
-    let sim = merge_worker_stats(&out.states);
-    let mut pairs: Vec<(Traversal, BenchResult)> = Vec::new();
-    let mut failures: Vec<(Traversal, SimError)> = Vec::new();
-    for (t, item) in traversals.into_iter().zip(out.items) {
-        match item {
-            ItemOutcome::Ok(result) => pairs.push((t, result)),
-            ItemOutcome::Failed(e) => failures.push((t, e)),
-            ItemOutcome::Panicked(detail) => {
-                failures.push((t, SimError::Panicked { detail }));
-            }
-        }
-    }
-    let quarantined = failures.len() as u64;
-    let (records, telemetry) = exhaustive_records(pairs);
     ExploreOutput {
         records,
         telemetry,
         sim,
         cache: CacheStats::default(),
         threads,
+        quarantined: failures.len() as u64,
         failures,
-        quarantined,
         pruned: 0,
         tree: None,
         exhausted,
     }
 }
 
-/// Builds the exhaustive strategy's records and telemetry from
-/// `(traversal, result)` pairs in canonical enumeration order — shared
-/// by the serial and parallel backends so their outputs are identical by
-/// construction.
-fn exhaustive_records(
-    pairs: Vec<(Traversal, BenchResult)>,
-) -> (Vec<ExploredRecord>, SearchTelemetry) {
-    let mut records = Vec::with_capacity(pairs.len());
+/// The exhaustive strategy's telemetry: one row per record, in
+/// canonical enumeration order.
+fn exhaustive_telemetry(records: &[ExploredRecord]) -> SearchTelemetry {
     let mut telemetry = SearchTelemetry::new();
     let mut best = f64::INFINITY;
     let mut worst = f64::NEG_INFINITY;
-    for (i, (t, result)) in pairs.into_iter().enumerate() {
-        best = best.min(result.time());
-        worst = worst.max(result.time());
-        let rollout_len = t.steps.len();
-        records.push(ExploredRecord {
-            traversal: t,
-            result,
-        });
+    for (i, r) in records.iter().enumerate() {
+        best = best.min(r.result.time());
+        worst = worst.max(r.result.time());
         telemetry.push(TelemetryRow {
             iteration: i as u64 + 1,
-            unique_traversals: records.len(),
+            unique_traversals: i + 1,
             best_time: best,
             worst_time: worst,
             tree_nodes: 0,
             max_depth: 0,
-            rollout_len,
+            rollout_len: r.traversal.steps.len(),
         });
     }
-    (records, telemetry)
+    telemetry
 }
 
 /// Merges the simulator statistics of per-worker evaluators in worker
@@ -734,68 +458,11 @@ fn merge_worker_stats<E: Evaluator>(states: &[E]) -> Option<SimStats> {
     total
 }
 
-/// Builds a pool observer from a live sink (`None` when there is no
-/// sink or it is disabled, so the pool takes its unobserved path).
-fn pool_observer(events: Option<&EventSink>) -> Option<SinkPoolObserver> {
-    events
-        .filter(|s| s.is_enabled())
-        .map(|s| SinkPoolObserver { sink: s.clone() })
-}
-
-fn exhaustive_parallel<E, F>(
-    space: &DecisionSpace,
-    make_eval: &F,
-    threads: usize,
-    tracer: &Tracer,
-    dispatch: Option<SpanId>,
-    events: Option<&EventSink>,
-) -> Result<ExploreOutput, SimError>
-where
-    E: Evaluator + Send,
-    F: Fn() -> E + Sync,
-{
-    // The lazy enumeration is the shared work queue; each worker owns an
-    // evaluator. Seeds depend only on the traversal, and the pool
-    // restores input order, so output matches the serial path exactly.
-    let observer = pool_observer(events);
-    let (pairs, states) = par_map_stream_observed(
-        space.enumerate(),
-        threads,
-        tracer,
-        dispatch,
-        observer.as_ref().map(|o| o as &dyn PoolObserver),
-        |_worker| make_eval(),
-        |eval, _i, t: Traversal| {
-            let result = eval.evaluate(&t, eval_seed(EXHAUSTIVE_MASTER_SEED, &t))?;
-            Ok((t, result))
-        },
-    )?;
-    let sim = merge_worker_stats(&states);
-    let (records, telemetry) = exhaustive_records(pairs);
-    Ok(ExploreOutput {
-        records,
-        telemetry,
-        sim,
-        cache: CacheStats::default(),
-        threads,
-        failures: Vec::new(),
-        quarantined: 0,
-        pruned: 0,
-        tree: None,
-        exhausted: true,
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
 fn random_parallel<E, F>(
     space: &DecisionSpace,
-    make_eval: &F,
+    pool: &Pool<'_, F>,
     iterations: usize,
     seed: u64,
-    threads: usize,
-    tracer: &Tracer,
-    dispatch: Option<SpanId>,
-    events: Option<&EventSink>,
 ) -> Result<ExploreOutput, SimError>
 where
     E: Evaluator + Send,
@@ -830,32 +497,16 @@ where
             }
         }
     }
-    let observer = pool_observer(events);
-    let (pairs, states) = par_map_stream_observed(
-        uniques.into_iter(),
-        threads,
-        tracer,
-        dispatch,
-        observer.as_ref().map(|o| o as &dyn PoolObserver),
-        |_worker| make_eval(),
-        |eval, _i, t: Traversal| {
-            let result = eval.evaluate(&t, eval_seed(seed, &t))?;
-            Ok((t, result))
-        },
-    )?;
-    let sim = merge_worker_stats(&states);
-    let records: Vec<ExploredRecord> = pairs
-        .into_iter()
-        .map(|(traversal, result)| ExploredRecord { traversal, result })
-        .collect();
+    let (outcomes, sim) = pool.measure(uniques.into_iter(), seed)?;
+    let (records, failures, kept) = split_outcomes(outcomes);
     let mut telemetry = SearchTelemetry::new();
     let mut best = f64::INFINITY;
     let mut worst = f64::NEG_INFINITY;
     let mut count = 0usize;
     for iter in 0..iterations {
-        if let Some(u) = first_discovery[iter] {
-            count = u + 1;
-            let time = records[u].result.time();
+        if let Some(r) = first_discovery[iter].and_then(|u| kept[u]) {
+            count = r + 1;
+            let time = records[r].result.time();
             best = best.min(time);
             worst = worst.max(time);
         }
@@ -869,231 +520,14 @@ where
             rollout_len: rollout_lens[iter],
         });
     }
-    Ok(ExploreOutput {
+    Ok(pool_output(
         records,
         telemetry,
         sim,
-        cache: CacheStats::default(),
-        threads,
-        failures: Vec::new(),
-        quarantined: 0,
-        pruned: 0,
-        tree: None,
-        exhausted: false,
-    })
-}
-
-/// Pins evaluation seeds to `eval_seed(master, t)` regardless of the
-/// seed the search supplies. Root-parallel workers search with different
-/// seeds but must *measure* identically — whichever worker computes a
-/// traversal first stores in the shared cache exactly the result every
-/// other worker (and the serial run) would have produced, making the
-/// cache race-free in values.
-struct MasterSeeded<E> {
-    inner: E,
-    master: u64,
-}
-
-impl<E: Evaluator> Evaluator for MasterSeeded<E> {
-    fn evaluate(&mut self, t: &Traversal, _seed: u64) -> Result<BenchResult, SimError> {
-        self.inner.evaluate(t, eval_seed(self.master, t))
-    }
-
-    fn sim_stats(&self) -> Option<&SimStats> {
-        self.inner.sim_stats()
-    }
-}
-
-type WorkerOutcome = Result<
-    (
-        Vec<ExploredRecord>,
-        SearchTelemetry,
-        Option<SimStats>,
-        usize,
-        TreeStats,
-        bool,
-        u64,
-    ),
-    SimError,
->;
-
-#[allow(clippy::too_many_arguments)]
-fn mcts_root_parallel<E, F>(
-    space: &DecisionSpace,
-    make_eval: &F,
-    iterations: usize,
-    config: MctsConfig,
-    threads: usize,
-    tracer: &Tracer,
-    dispatch: Option<SpanId>,
-    events: Option<&EventSink>,
-    prune: Option<PruneHook>,
-) -> Result<ExploreOutput, SimError>
-where
-    E: Evaluator + Send,
-    F: Fn() -> E + Sync,
-{
-    let cache: StripedCache<Traversal, BenchResult> = StripedCache::new(64);
-    let budgets = split_budget(iterations, threads);
-    let outcomes: Vec<WorkerOutcome> = std::thread::scope(|s| {
-        let cache = &cache;
-        let prune = &prune;
-        let handles: Vec<_> = budgets
-            .iter()
-            .enumerate()
-            .map(|(worker, &budget)| {
-                s.spawn(move || -> WorkerOutcome {
-                    // Contain worker panics: a poisoned evaluation that
-                    // slips past per-item isolation surfaces as a
-                    // structured error instead of aborting the process.
-                    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                        || -> WorkerOutcome {
-                            if let Some(sink) = events {
-                                sink.emit(
-                                    "worker-start",
-                                    &[("worker", worker.into()), ("budget", budget.into())],
-                                );
-                            }
-                            let worker_cfg = MctsConfig {
-                                seed: config.seed ^ (worker as u64).wrapping_mul(WORKER_SEED_MIX),
-                                ..config
-                            };
-                            let eval = CachingEvaluator::new(
-                                MasterSeeded {
-                                    inner: make_eval(),
-                                    master: config.seed,
-                                },
-                                cache,
-                            );
-                            let mut mcts = Mcts::new(space, eval, worker_cfg);
-                            attach_mcts_lane(&mut mcts, tracer, dispatch, worker);
-                            attach_mcts_events(&mut mcts, events);
-                            attach_mcts_prune(&mut mcts, prune.as_ref());
-                            mcts.run(budget)?;
-                            let failures = mcts.failures();
-                            let tree = mcts.stats();
-                            let exhausted = mcts.is_exhausted();
-                            let pruned = mcts.pruned();
-                            let (records, telemetry, eval) = mcts.into_parts();
-                            let sim = eval.sim_stats().cloned();
-                            if let Some(sink) = events {
-                                sink.emit(
-                                    "worker-end",
-                                    &[("worker", worker.into()), ("items", records.len().into())],
-                                );
-                            }
-                            Ok((records, telemetry, sim, failures, tree, exhausted, pruned))
-                        },
-                    ));
-                    run.unwrap_or_else(|payload| {
-                        let detail = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| (*s).to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string panic payload".to_string());
-                        Err(SimError::Panicked { detail })
-                    })
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("MCTS worker panicked"))
-            .collect()
-    });
-
-    // Merge worker-major: renumber iterations globally and deduplicate
-    // records across workers. Worker trajectories are independent, so
-    // tree_nodes/max_depth/rollout_len stay worker-local in each row;
-    // unique/best/worst are recomputed globally.
-    let mut records: Vec<ExploredRecord> = Vec::new();
-    let mut by_hash: HashMap<u64, Vec<usize>> = HashMap::new();
-    let mut telemetry = SearchTelemetry::new();
-    let mut sim: Option<SimStats> = None;
-    let mut best = f64::INFINITY;
-    let mut worst = f64::NEG_INFINITY;
-    let mut iteration = 0u64;
-    let insert = |records: &mut Vec<ExploredRecord>,
-                  by_hash: &mut HashMap<u64, Vec<usize>>,
-                  best: &mut f64,
-                  worst: &mut f64,
-                  rec: ExploredRecord| {
-        let hash = rec.traversal.canonical_hash();
-        let dup = by_hash
-            .get(&hash)
-            .into_iter()
-            .flatten()
-            .copied()
-            .any(|i| records[i].traversal == rec.traversal);
-        if !dup {
-            *best = best.min(rec.result.time());
-            *worst = worst.max(rec.result.time());
-            by_hash.entry(hash).or_default().push(records.len());
-            records.push(rec);
-        }
-    };
-    let mut quarantined = 0u64;
-    let mut tree = TreeStats {
-        nodes: 0,
-        max_depth: 0,
-        fully_explored: 0,
-        rollouts: 0,
-        t_min: f64::INFINITY,
-        t_max: f64::NEG_INFINITY,
-    };
-    let mut exhausted = false;
-    let mut pruned = 0u64;
-    for outcome in outcomes {
-        let (wrecords, wtelemetry, wsim, wfailures, wtree, wexhausted, wpruned) = outcome?;
-        quarantined += wfailures as u64;
-        pruned += wpruned;
-        tree.nodes += wtree.nodes;
-        tree.max_depth = tree.max_depth.max(wtree.max_depth);
-        tree.fully_explored += wtree.fully_explored;
-        tree.rollouts += wtree.rollouts;
-        tree.t_min = tree.t_min.min(wtree.t_min);
-        tree.t_max = tree.t_max.max(wtree.t_max);
-        exhausted |= wexhausted;
-        let mut recs = wrecords.into_iter();
-        let mut local_count = 0usize;
-        for row in wtelemetry.rows() {
-            iteration += 1;
-            if row.unique_traversals > local_count {
-                local_count = row.unique_traversals;
-                let rec = recs.next().expect("unique count tracks records");
-                insert(&mut records, &mut by_hash, &mut best, &mut worst, rec);
-            }
-            telemetry.push(TelemetryRow {
-                iteration,
-                unique_traversals: records.len(),
-                best_time: best,
-                worst_time: worst,
-                tree_nodes: row.tree_nodes,
-                max_depth: row.max_depth,
-                rollout_len: row.rollout_len,
-            });
-        }
-        // Records not claimed by a telemetry increment (none in
-        // practice) are still kept rather than silently dropped.
-        for rec in recs {
-            insert(&mut records, &mut by_hash, &mut best, &mut worst, rec);
-        }
-        if let Some(ws) = wsim {
-            sim.get_or_insert_with(SimStats::default).merge(&ws);
-        }
-    }
-    Ok(ExploreOutput {
-        records,
-        telemetry,
-        sim,
-        cache: cache.stats(),
-        threads,
-        failures: Vec::new(),
-        quarantined,
-        pruned,
-        tree: Some(tree),
-        exhausted,
-    })
+        pool.threads,
+        failures,
+        false,
+    ))
 }
 
 /// Shared-tree parallel MCTS: one arena-backed tree on the coordinating
@@ -1130,7 +564,7 @@ where
 {
     let mut evals: Vec<E> = (0..threads).map(|_| make_eval()).collect();
     let mut items = vec![0usize; threads];
-    if let Some(sink) = events.filter(|s| s.is_enabled()) {
+    if let Some(sink) = events {
         for worker in 0..threads {
             sink.emit("worker-start", &[("worker", worker.into())]);
         }
@@ -1139,16 +573,10 @@ where
     if let Some(hook) = prune {
         mcts.set_prune(hook);
     }
-    if tracer.is_enabled() {
-        let mut lane = tracer.lane("mcts-shared");
-        if let Some(d) = dispatch {
-            lane.enter("mcts-dispatch");
-            lane.follows_from(d);
-            lane.exit();
-        }
+    if let Some(lane) = mcts_lane(tracer, "mcts-shared", dispatch) {
         mcts.set_trace(lane, mcts_trace_every());
     }
-    if let Some(sink) = events.filter(|s| s.is_enabled()) {
+    if let Some(sink) = events {
         mcts.set_events(sink.clone(), events_rate());
     }
 
@@ -1162,33 +590,27 @@ where
             }
             continue; // assembly resolved everything inline
         }
-        let results: Vec<Result<BenchResult, SimError>> = if threads == 1 {
-            let pe = &batch.pending[0];
-            items[0] += 1;
-            vec![contained_eval(&mut evals[0], &pe.traversal, pe.eval_seed)]
-        } else {
-            for n in items.iter_mut().take(batch.pending.len()) {
-                *n += 1;
-            }
-            std::thread::scope(|s| {
-                let handles: Vec<_> = batch
-                    .pending
-                    .iter()
-                    .zip(evals.iter_mut())
-                    .map(|(pe, eval)| {
-                        s.spawn(move || contained_eval(eval, &pe.traversal, pe.eval_seed))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shared MCTS evaluation thread panicked"))
-                    .collect()
-            })
-        };
+        for n in items.iter_mut().take(batch.pending.len()) {
+            *n += 1;
+        }
+        let results: Vec<Result<BenchResult, SimError>> = std::thread::scope(|s| {
+            let handles: Vec<_> = batch
+                .pending
+                .iter()
+                .zip(evals.iter_mut())
+                .map(|(pe, eval)| {
+                    s.spawn(move || contained_eval(eval, &pe.traversal, pe.eval_seed))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("shared MCTS evaluation thread panicked"))
+                .collect()
+        });
         mcts.commit(batch, results)?;
     }
 
-    if let Some(sink) = events.filter(|s| s.is_enabled()) {
+    if let Some(sink) = events {
         for (worker, &n) in items.iter().enumerate() {
             sink.emit(
                 "worker-end",
@@ -1242,12 +664,9 @@ fn contained_eval<E: Evaluator>(
 ) -> Result<BenchResult, SimError> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| eval.evaluate(t, seed)))
         .unwrap_or_else(|payload| {
-            let detail = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            Err(SimError::Panicked { detail })
+            Err(SimError::Panicked {
+                detail: panic_text(payload),
+            })
         })
 }
 
@@ -1314,17 +733,43 @@ mod tests {
         assert_eq!(set.len(), records.len());
     }
 
-    /// Runs `explore_parallel` over the shared setup with a fresh
-    /// SimEvaluator per worker.
+    /// Runs the engine unobserved with evaluators built by `make_eval`.
+    fn run_engine<E, F>(
+        space: &DecisionSpace,
+        make_eval: F,
+        strategy: Strategy,
+        threads: usize,
+        quarantine: bool,
+    ) -> ExploreOutput
+    where
+        E: Evaluator + Send,
+        F: Fn() -> E + Sync,
+    {
+        explore_parallel(
+            space,
+            make_eval,
+            strategy,
+            threads,
+            &Tracer::disabled(),
+            None,
+            None,
+            None,
+            quarantine,
+        )
+        .unwrap()
+    }
+
+    /// Runs the engine over the shared setup with a fresh SimEvaluator
+    /// per worker.
     fn run_parallel(strategy: Strategy, threads: usize) -> ExploreOutput {
         let (space, w, platform) = setup();
-        explore_parallel(
+        run_engine(
             &space,
             || SimEvaluator::new(&space, &w, &platform, BenchConfig::quick()),
             strategy,
             threads,
+            false,
         )
-        .unwrap()
     }
 
     fn record_set(records: &[ExploredRecord]) -> std::collections::HashSet<(Traversal, u64)> {
@@ -1371,71 +816,30 @@ mod tests {
         }
     }
 
-    /// Like [`run_parallel`] with an explicitly pinned MCTS backend.
-    fn run_backend(strategy: Strategy, threads: usize, backend: SearchBackend) -> ExploreOutput {
-        let (space, w, platform) = setup();
-        explore_parallel_backend(
-            &space,
-            || SimEvaluator::new(&space, &w, &platform, BenchConfig::quick()),
-            strategy,
-            threads,
-            backend,
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn root_parallel_mcts_exhausts_to_the_serial_record_set() {
-        // A budget far above the space size exhausts every worker's
-        // tree, so the merged record set must be thread-count-invariant
-        // and identical to the serial search's. (Backend pinned to the
-        // legacy root-parallel engine; the default is the shared tree.)
-        let strategy = Strategy::Mcts {
-            iterations: 200,
-            config: MctsConfig::default(),
-        };
-        let serial = run_backend(strategy, 1, SearchBackend::Root);
-        let serial_set = record_set(&serial.records);
-        assert!(!serial_set.is_empty());
-        for threads in [2, 4] {
-            let par = run_backend(strategy, threads, SearchBackend::Root);
-            assert_eq!(record_set(&par.records), serial_set, "threads={threads}");
-            // Re-running is deterministic in full.
-            let again = run_backend(strategy, threads, SearchBackend::Root);
-            assert_eq!(record_set(&again.records), record_set(&par.records));
-            // Workers overlap on a tiny space, so the shared cache
-            // must have absorbed re-simulations.
-            assert!(par.cache.hits > 0, "expected cache hits: {:?}", par.cache);
-            assert_eq!(par.cache.misses as usize, par.records.len());
-        }
-    }
-
     #[test]
     fn shared_tree_mcts_is_thread_count_invariant_at_exhaustion() {
-        // The shared backend sorts records canonically, so at exhaustion
+        // The shared arena sorts records canonically, so at exhaustion
         // not just the record set but the record *list* must be
-        // identical across thread counts — and across the Auto/Shared
-        // spellings — and must equal the serial engine's record set.
+        // identical across thread counts, and must equal the serial
+        // tree's record set.
         let strategy = Strategy::Mcts {
             iterations: 200,
             config: MctsConfig::default(),
         };
-        let serial = run_backend(strategy, 1, SearchBackend::Auto);
+        let serial = run_parallel(strategy, 1);
         assert!(serial.exhausted, "budget must exhaust the test space");
         let serial_set = record_set(&serial.records);
-        let shared1 = run_backend(strategy, 1, SearchBackend::Shared);
-        assert!(shared1.exhausted);
-        assert_eq!(record_set(&shared1.records), serial_set);
-        for threads in [2, 4] {
-            let par = run_backend(strategy, threads, SearchBackend::Shared);
+        let shared2 = run_parallel(strategy, 2);
+        assert!(shared2.exhausted);
+        assert_eq!(record_set(&shared2.records), serial_set);
+        for threads in [3, 4] {
+            let par = run_parallel(strategy, threads);
             assert!(par.exhausted, "threads={threads}");
-            assert_eq!(par.records.len(), shared1.records.len());
-            for (a, b) in par.records.iter().zip(&shared1.records) {
+            assert_eq!(par.records.len(), shared2.records.len());
+            for (a, b) in par.records.iter().zip(&shared2.records) {
                 assert_eq!(a.traversal, b.traversal, "threads={threads}");
                 assert_eq!(a.result, b.result, "threads={threads}");
             }
-            let auto = run_backend(strategy, threads, SearchBackend::Auto);
-            assert_eq!(record_set(&auto.records), serial_set);
             // Cache counters mirror the tree's repeat accounting.
             assert_eq!(par.cache.misses as usize, par.records.len());
             assert!(par.tree.is_some());
@@ -1444,19 +848,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn search_backend_resolves_names() {
-        assert_eq!(SearchBackend::default(), SearchBackend::Auto);
-        assert_eq!(SearchBackend::Auto.name(), "auto");
-        assert_eq!(SearchBackend::Shared.name(), "shared");
-        assert_eq!(SearchBackend::Root.name(), "root");
-    }
-
     /// An evaluator that deterministically fails traversals by hash
     /// residue — and, when `panics` is set, panics on one residue to
-    /// exercise containment (only valid under the isolated pool; the
-    /// MCTS path expects its evaluator to return errors, as the real
-    /// `ResilientEvaluator` does after catching panics itself).
+    /// exercise containment.
     fn chaotic_eval<'a>(
         space: &'a DecisionSpace,
         w: &'a TableWorkload,
@@ -1481,13 +875,13 @@ mod tests {
         let (space, w, platform) = setup();
         let total = space.count_traversals() as usize;
         let run = |threads| {
-            explore_parallel_resilient(
+            run_engine(
                 &space,
                 || chaotic_eval(&space, &w, &platform, true),
                 Strategy::Exhaustive,
                 threads,
+                true,
             )
-            .unwrap()
         };
         let serial = run(1);
         assert_eq!(
@@ -1524,27 +918,37 @@ mod tests {
             iterations: 30,
             seed: 5,
         };
-        let plain = explore_parallel(
-            &space,
-            || SimEvaluator::new(&space, &w, &platform, BenchConfig::quick()),
-            strategy,
-            2,
-        )
-        .unwrap();
-        let resilient = explore_parallel_resilient(
-            &space,
-            || SimEvaluator::new(&space, &w, &platform, BenchConfig::quick()),
-            strategy,
-            2,
-        )
-        .unwrap();
+        let make = || SimEvaluator::new(&space, &w, &platform, BenchConfig::quick());
+        let plain = run_engine(&space, make, strategy, 2, false);
+        let resilient = run_engine(&space, make, strategy, 2, true);
         assert_eq!(resilient.records.len(), plain.records.len());
         for (a, b) in resilient.records.iter().zip(&plain.records) {
             assert_eq!(a.traversal, b.traversal);
             assert_eq!(a.result, b.result);
         }
+        assert_eq!(resilient.telemetry.to_csv(), plain.telemetry.to_csv());
         assert!(resilient.failures.is_empty());
         assert_eq!(resilient.quarantined, 0);
+    }
+
+    #[test]
+    fn resilient_random_telemetry_counts_only_survivors() {
+        let (space, w, platform) = setup();
+        let strategy = Strategy::Random {
+            iterations: 40,
+            seed: 5,
+        };
+        let out = run_engine(
+            &space,
+            || chaotic_eval(&space, &w, &platform, true),
+            strategy,
+            2,
+            true,
+        );
+        assert!(out.quarantined > 0, "chaos must bite");
+        let rows = out.telemetry.rows();
+        assert_eq!(rows.len(), 40, "one row per iteration");
+        assert_eq!(rows.last().unwrap().unique_traversals, out.records.len());
     }
 
     #[test]
@@ -1558,13 +962,13 @@ mod tests {
                 ..MctsConfig::default()
             },
         };
-        let out = explore_parallel_resilient(
+        let out = run_engine(
             &space,
             || chaotic_eval(&space, &w, &platform, false),
             strategy,
             1,
-        )
-        .unwrap();
+            true,
+        );
         assert!(out.quarantined > 0, "chaos must bite");
         assert!(!out.records.is_empty());
         assert_eq!(out.records.len() + out.quarantined as usize, total);

@@ -229,12 +229,15 @@ mod tests {
             gpu_contention: 0.0,
             ..dr_sim::Platform::perlmutter_like().noiseless()
         };
-        let run = crate::run_pipeline_instrumented(
+        let run = crate::run_pipeline_stored(
             &space,
             &w,
             &platform,
             crate::Strategy::Exhaustive,
             &crate::PipelineConfig::quick(),
+            &dr_trace::Tracer::disabled(),
+            None,
+            None,
         )
         .unwrap();
         let ctx = LedgerContext {

@@ -50,13 +50,7 @@ pub use compare::{
     load_fleet, load_ledger, CompareOptions, CompareReport, BENCH_SCHEMA,
 };
 pub use evaluate::{labeling_accuracy, AccuracyReport};
-pub use explore::{
-    events_rate, explore, explore_instrumented, explore_parallel, explore_parallel_backend,
-    explore_parallel_resilient, explore_parallel_resilient_traced,
-    explore_parallel_resilient_watched, explore_parallel_resilient_watched_backend,
-    explore_parallel_traced, explore_parallel_watched, explore_parallel_watched_backend,
-    ExploreOutput, SearchBackend, Strategy,
-};
+pub use explore::{events_rate, explore, explore_parallel, ExploreOutput, SearchBackend, Strategy};
 pub use ledger::{
     append_entry, ledger_dir_from_env, ledger_entry_json, records_fingerprint, LedgerContext,
     LEDGER_FILE, LEDGER_SCHEMA,
@@ -67,8 +61,8 @@ pub use lintstage::{
 };
 pub use multi_input::{mine_rules_multi, InputFeature, InputRun, MultiInputResult};
 pub use pipeline::{
-    mine_rules, mine_rules_timed, run_pipeline, run_pipeline_instrumented, run_pipeline_stored,
-    run_pipeline_traced, run_pipeline_watched, InstrumentedRun, PipelineConfig, PipelineResult,
+    mine_rules, mine_rules_timed, run_pipeline, run_pipeline_stored, InstrumentedRun,
+    PipelineConfig, PipelineResult,
 };
 pub use report::{
     LintSummary, MiningSummary, Provenance, ResilienceSummary, RunReport, SearchSummary,

@@ -1,19 +1,16 @@
 //! The end-to-end design-rule pipeline (paper Fig. 2): explore → label →
 //! featurize → train → extract rules.
 
-use crate::explore::{
-    events_rate, explore_parallel_resilient_watched_backend, explore_parallel_watched_backend,
-    SearchBackend, Strategy,
-};
+use crate::explore::{events_rate, explore_parallel, SearchBackend, Strategy};
 use crate::lintstage::{lint_space_watched, topology_from_workload, LintTotals, LintingEvaluator};
 use crate::report::{RunReport, SearchSummary};
-use crate::resilient::{ResilienceTotals, ResilientEvaluator};
+use crate::resilient::{resolve_faults, ResilienceTotals, ResilientEvaluator, SimOrResilient};
 use crate::storestage::StoredEvaluator;
 use crate::tracestage::TracingEvaluator;
 use crate::watch::{EvalWatch, WatchedEvaluator};
 use dr_dag::{DecisionSpace, Traversal};
 use dr_fault::FaultConfig;
-use dr_mcts::{ExploredRecord, PruneHook, SearchTelemetry, SimEvaluator};
+use dr_mcts::{Evaluator, ExploredRecord, PruneHook, SearchTelemetry, SimEvaluator};
 use dr_ml::{
     algorithm1, extract_rulesets, featurize, label_times, FeatureSet, HyperSearch, Labeling,
     LabelingConfig, RuleSet, TrainConfig,
@@ -21,7 +18,7 @@ use dr_ml::{
 use dr_obs::events::{EventSink, Field};
 use dr_obs::{Phases, Stopwatch};
 use dr_par::{resolve_threads, CacheStats};
-use dr_sim::{BenchConfig, Platform, SimError, Workload};
+use dr_sim::{BenchConfig, BenchResult, Platform, SimError, SimStats, Workload};
 use dr_trace::{Lane, Tracer};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -51,10 +48,9 @@ pub struct PipelineConfig {
     /// budget, panic isolation, quarantine instead of abort, and robust
     /// (MAD-screened) labeling.
     pub faults: FaultConfig,
-    /// Which parallel engine backs MCTS exploration. The default
-    /// ([`SearchBackend::Auto`]) keeps the serial tree at one thread and
-    /// uses the shared tree above; the CLI resolves `DR_SEARCH` into
-    /// this field.
+    /// The MCTS engine selection. [`SearchBackend::Auto`] is the only
+    /// value: the thread count picks the engine (the serial tree at one
+    /// thread, the shared arena above one).
     pub search: SearchBackend,
 }
 
@@ -99,7 +95,8 @@ impl PipelineResult {
     }
 }
 
-/// Runs the full pipeline over a decision space and workload.
+/// Runs the full pipeline over a decision space and workload, unobserved
+/// and without a result store.
 pub fn run_pipeline<W: Workload + Sync>(
     space: &DecisionSpace,
     workload: &W,
@@ -107,7 +104,17 @@ pub fn run_pipeline<W: Workload + Sync>(
     strategy: Strategy,
     cfg: &PipelineConfig,
 ) -> Result<PipelineResult, SimError> {
-    run_pipeline_instrumented(space, workload, platform, strategy, cfg).map(|r| r.result)
+    run_pipeline_stored(
+        space,
+        workload,
+        platform,
+        strategy,
+        cfg,
+        &Tracer::disabled(),
+        None,
+        None,
+    )
+    .map(|r| r.result)
 }
 
 /// Result plus observability artifacts of one instrumented pipeline run.
@@ -121,52 +128,11 @@ pub struct InstrumentedRun {
     /// Per-iteration search telemetry (one row per exploration
     /// iteration).
     pub telemetry: SearchTelemetry,
-    /// Hit/miss counters of the shared evaluation cache (all zero for
+    /// Repeat/distinct counters of the shared MCTS arena (all zero for
     /// serial runs and strategies that never re-visit a traversal).
     pub cache: CacheStats,
     /// Number of exploration worker threads actually used.
     pub threads: usize,
-}
-
-/// Like [`run_pipeline`], additionally producing a [`RunReport`] and the
-/// per-iteration [`SearchTelemetry`]. Exploration uses
-/// [`PipelineConfig::threads`] workers (resolved through `DR_THREADS`
-/// when zero); mining is always serial.
-pub fn run_pipeline_instrumented<W: Workload + Sync>(
-    space: &DecisionSpace,
-    workload: &W,
-    platform: &Platform,
-    strategy: Strategy,
-    cfg: &PipelineConfig,
-) -> Result<InstrumentedRun, SimError> {
-    run_pipeline_traced(
-        space,
-        workload,
-        platform,
-        strategy,
-        cfg,
-        &Tracer::disabled(),
-    )
-}
-
-/// [`run_pipeline_instrumented`] with causal span tracing: a root
-/// `pipeline` span covers the run, each phase (`explore`, `label`,
-/// `featurize`, `train`, `rules`) becomes a child span, every worker's
-/// evaluator stack is wrapped in a [`TracingEvaluator`] recording one
-/// `evaluate` span per benchmark call, and the exploration backends add
-/// worker/chunk/iteration spans linked to the explore span via
-/// `follows_from` edges. With a disabled tracer this is exactly
-/// [`run_pipeline_instrumented`]; tracing never changes the mined
-/// result.
-pub fn run_pipeline_traced<W: Workload + Sync>(
-    space: &DecisionSpace,
-    workload: &W,
-    platform: &Platform,
-    strategy: Strategy,
-    cfg: &PipelineConfig,
-    tracer: &Tracer,
-) -> Result<InstrumentedRun, SimError> {
-    run_pipeline_watched(space, workload, platform, strategy, cfg, tracer, None)
 }
 
 /// Builds the optional MCTS static-prune hook from `DR_LINT_PRUNE`:
@@ -210,39 +176,35 @@ fn emit(events: Option<&EventSink>, kind: &str, fields: &[(&str, Field)]) {
     }
 }
 
-/// [`run_pipeline_traced`] with a structured event stream (schema
-/// `dr-events/v1`): `run-start`/`run-end` bracket the run,
-/// `phase-start`/`phase-end` bracket each pipeline phase (the explore
-/// end event carries record, cache, and quarantine counters), workers
-/// emit lifecycle events, MCTS iterations and evaluations are sampled
-/// (`DR_EVENTS_RATE`, default 16). The report's provenance run id is
-/// taken from the sink so the event stream, report, and ledger entry
-/// all name the same run. A `None` or disabled sink makes this exactly
-/// [`run_pipeline_traced`]; either way the mined result is bit-identical
-/// to the unobserved run.
-pub fn run_pipeline_watched<W: Workload + Sync>(
-    space: &DecisionSpace,
-    workload: &W,
-    platform: &Platform,
-    strategy: Strategy,
-    cfg: &PipelineConfig,
-    tracer: &Tracer,
-    events: Option<&EventSink>,
-) -> Result<InstrumentedRun, SimError> {
-    run_pipeline_stored(
-        space, workload, platform, strategy, cfg, tracer, events, None,
-    )
-}
-
-/// [`run_pipeline_watched`] backed by a durable [`dr_store::ResultStore`]:
-/// every evaluator stack consults the store before simulating and commits
-/// each fresh measurement to disk before returning it, so a re-run over
-/// the same store answers every already-measured traversal from disk
-/// (`store.stats().hits` proves it) and a crash mid-run loses at most the
-/// in-flight record. The store sits *inside* the lint/trace/watch layers,
-/// so observability counters are identical between cold and warm runs;
-/// only the simulator is skipped. A `None` store makes this exactly
-/// [`run_pipeline_watched`].
+/// The pipeline's entry point for every caller that wants more than the
+/// mined rules: a [`RunReport`], the per-iteration [`SearchTelemetry`],
+/// causal spans, a live event stream, and a durable result store.
+/// Exploration uses [`PipelineConfig::threads`] workers (resolved through
+/// `DR_THREADS` when zero); mining is always serial.
+///
+/// * `tracer`: a root `pipeline` span covers the run, each phase
+///   (`explore`, `label`, `featurize`, `train`, `rules`) becomes a child
+///   span, every worker's evaluator stack records one `evaluate` span per
+///   benchmark call, and the exploration engine adds worker, chunk and
+///   iteration spans linked to the explore span via `follows_from`
+///   edges. [`Tracer::disabled`] records nothing.
+/// * `events` (schema `dr-events/v1`): `run-start`/`run-end` bracket the
+///   run, `phase-start`/`phase-end` bracket each phase (the explore end
+///   event carries record, cache, and quarantine counters), workers emit
+///   lifecycle events, MCTS iterations and evaluations are sampled
+///   (`DR_EVENTS_RATE`, default 16). The report's provenance run id is
+///   taken from the sink so the event stream, report, and ledger entry
+///   all name the same run.
+/// * `store`: every evaluator stack consults the store before simulating
+///   and commits each fresh measurement to disk before returning it, so a
+///   re-run over the same store answers every already-measured traversal
+///   from disk (`store.stats().hits` proves it) and a crash mid-run loses
+///   at most the in-flight record. The store sits *inside* the
+///   lint/trace/watch layers, so observability counters are identical
+///   between cold and warm runs; only the simulator is skipped.
+///
+/// None of the three ever changes the mined result: it is bit-identical
+/// to the unobserved, storeless run.
 #[allow(clippy::too_many_arguments)]
 pub fn run_pipeline_stored<W: Workload + Sync>(
     space: &DecisionSpace,
@@ -335,19 +297,7 @@ fn run_pipeline_spanned<W: Workload + Sync>(
 ) -> Result<InstrumentedRun, SimError> {
     let mut phases = Phases::new();
     let threads = resolve_threads((cfg.threads > 0).then_some(cfg.threads));
-    let faults = if cfg.faults.is_active() {
-        cfg.faults
-    } else {
-        match FaultConfig::from_env() {
-            Ok(Some(f)) => f,
-            Ok(None) => FaultConfig::clean(),
-            Err(msg) => {
-                return Err(SimError::Faulted {
-                    detail: format!("invalid DR_FAULTS: {msg}"),
-                })
-            }
-        }
-    };
+    let faults = resolve_faults(cfg.faults)?;
     let resilience = faults
         .is_active()
         .then(|| Arc::new(ResilienceTotals::default()));
@@ -381,131 +331,48 @@ fn run_pipeline_spanned<W: Workload + Sync>(
         "phase-start",
         &[("phase", "explore".into()), ("threads", threads.into())],
     );
-    // Each worker's evaluator stack gets its own `eval-{n}` lane; the
-    // wrapper is the stack's outermost layer so its span covers cache
-    // lookups, lint, fault retries, and the simulator run. The event
-    // watch wraps even that, so its wall time covers the whole stack.
+    // Each worker's evaluator stack, outermost first: the event watch
+    // (its wall time covers the whole stack), an `eval-{n}` span lane
+    // (its span covers store lookups, lint, fault retries, and the
+    // simulator run), lint or a pass-through, the durable store, and the
+    // simulator, fault-injecting and retrying when faults are active.
     let eval_ix = AtomicUsize::new(0);
-    let eval_lane = || {
-        let n = eval_ix.fetch_add(1, Ordering::Relaxed);
-        tracer.lane(&format!("eval-{n}"))
-    };
     let watch = events.map(|s| EvalWatch::new(s.clone(), events_rate()));
-    let sw = Stopwatch::start();
-    let explored = match (&resilience, &lint_ctx) {
-        (Some(totals), Some((lint, topo))) => explore_parallel_resilient_watched_backend(
-            space,
-            || {
-                WatchedEvaluator::new(
-                    TracingEvaluator::new(
-                        LintingEvaluator::new(
-                            StoredEvaluator::new(
-                                ResilientEvaluator::new(
-                                    space,
-                                    workload,
-                                    platform,
-                                    cfg.bench,
-                                    faults,
-                                    totals.clone(),
-                                ),
-                                store.clone(),
-                            ),
-                            space,
-                            topo,
-                            lint.clone(),
-                        ),
-                        eval_lane(),
-                    ),
-                    watch.clone(),
-                )
-            },
-            strategy,
-            threads,
-            tracer,
-            dispatch,
-            events,
-            cfg.search,
-            prune.clone(),
-        ),
-        (Some(totals), None) => explore_parallel_resilient_watched_backend(
-            space,
-            || {
-                WatchedEvaluator::new(
-                    TracingEvaluator::new(
-                        StoredEvaluator::new(
-                            ResilientEvaluator::new(
-                                space,
-                                workload,
-                                platform,
-                                cfg.bench,
-                                faults,
-                                totals.clone(),
-                            ),
-                            store.clone(),
-                        ),
-                        eval_lane(),
-                    ),
-                    watch.clone(),
-                )
-            },
-            strategy,
-            threads,
-            tracer,
-            dispatch,
-            events,
-            cfg.search,
-            prune.clone(),
-        ),
-        (None, Some((lint, topo))) => explore_parallel_watched_backend(
-            space,
-            || {
-                WatchedEvaluator::new(
-                    TracingEvaluator::new(
-                        LintingEvaluator::new(
-                            StoredEvaluator::new(
-                                SimEvaluator::new(space, workload, platform, cfg.bench),
-                                store.clone(),
-                            ),
-                            space,
-                            topo,
-                            lint.clone(),
-                        ),
-                        eval_lane(),
-                    ),
-                    watch.clone(),
-                )
-            },
-            strategy,
-            threads,
-            tracer,
-            dispatch,
-            events,
-            cfg.search,
-            prune.clone(),
-        ),
-        (None, None) => explore_parallel_watched_backend(
-            space,
-            || {
-                WatchedEvaluator::new(
-                    TracingEvaluator::new(
-                        StoredEvaluator::new(
-                            SimEvaluator::new(space, workload, platform, cfg.bench),
-                            store.clone(),
-                        ),
-                        eval_lane(),
-                    ),
-                    watch.clone(),
-                )
-            },
-            strategy,
-            threads,
-            tracer,
-            dispatch,
-            events,
-            cfg.search,
-            prune.clone(),
-        ),
+    let make_eval = || {
+        let measure = match &resilience {
+            Some(totals) => SimOrResilient::Resilient(ResilientEvaluator::new(
+                space,
+                workload,
+                platform,
+                cfg.bench,
+                faults,
+                totals.clone(),
+            )),
+            None => SimOrResilient::Sim(SimEvaluator::new(space, workload, platform, cfg.bench)),
+        };
+        let stored = StoredEvaluator::new(measure, store.clone());
+        let linted = match &lint_ctx {
+            Some((totals, topo)) => {
+                LintLayer::On(LintingEvaluator::new(stored, space, topo, totals.clone()))
+            }
+            None => LintLayer::Off(stored),
+        };
+        let n = eval_ix.fetch_add(1, Ordering::Relaxed);
+        let traced = TracingEvaluator::new(linted, tracer.lane(&format!("eval-{n}")));
+        WatchedEvaluator::new(traced, watch.clone())
     };
+    let sw = Stopwatch::start();
+    let explored = explore_parallel(
+        space,
+        make_eval,
+        strategy,
+        threads,
+        tracer,
+        dispatch,
+        events,
+        prune,
+        resilience.is_some(),
+    );
     let explored = match explored {
         Ok(e) => {
             main.annotate("explored_records", e.records.len());
@@ -617,6 +484,29 @@ fn run_pipeline_spanned<W: Workload + Sync>(
     })
 }
 
+/// The lint layer of the pipeline's evaluator stack: a
+/// [`LintingEvaluator`] when lint is on, a pass-through when it is off.
+enum LintLayer<'a, E> {
+    On(LintingEvaluator<'a, E>),
+    Off(E),
+}
+
+impl<E: Evaluator> Evaluator for LintLayer<'_, E> {
+    fn evaluate(&mut self, t: &Traversal, seed: u64) -> Result<BenchResult, SimError> {
+        match self {
+            LintLayer::On(e) => e.evaluate(t, seed),
+            LintLayer::Off(e) => e.evaluate(t, seed),
+        }
+    }
+
+    fn sim_stats(&self) -> Option<&SimStats> {
+        match self {
+            LintLayer::On(e) => e.sim_stats(),
+            LintLayer::Off(e) => e.sim_stats(),
+        }
+    }
+}
+
 /// The mining half of the pipeline, reusable when records were collected
 /// elsewhere (e.g. shared between experiments).
 pub fn mine_rules(
@@ -710,6 +600,26 @@ mod tests {
     use dr_dag::{CostKey, DagBuilder, OpSpec};
     use dr_sim::TableWorkload;
 
+    /// An unobserved, storeless run with its report.
+    fn instrumented(
+        space: &DecisionSpace,
+        w: &TableWorkload,
+        platform: &Platform,
+        strategy: Strategy,
+        cfg: &PipelineConfig,
+    ) -> Result<InstrumentedRun, SimError> {
+        run_pipeline_stored(
+            space,
+            w,
+            platform,
+            strategy,
+            cfg,
+            &Tracer::disabled(),
+            None,
+            None,
+        )
+    }
+
     /// A space with a strong, learnable performance cliff: two big
     /// kernels either overlap (different streams) or serialize.
     fn setup() -> (DecisionSpace, TableWorkload, Platform) {
@@ -798,9 +708,7 @@ mod tests {
             iterations: 8,
             config: dr_mcts::MctsConfig::default(),
         };
-        let run =
-            run_pipeline_instrumented(&space, &w, &platform, strategy, &PipelineConfig::quick())
-                .unwrap();
+        let run = instrumented(&space, &w, &platform, strategy, &PipelineConfig::quick()).unwrap();
         // Every pipeline phase was timed.
         for name in ["explore", "label", "featurize", "train", "rules"] {
             assert!(
@@ -828,7 +736,7 @@ mod tests {
     #[test]
     fn lint_stage_surfaces_counters_in_the_report() {
         let (space, w, platform) = setup();
-        let run = run_pipeline_instrumented(
+        let run = instrumented(
             &space,
             &w,
             &platform,
@@ -851,7 +759,7 @@ mod tests {
         assert!(json.contains("\"lint\":{\"schedules\":"));
         assert!(run.report.render_text().contains("lint:"));
         // Without the flag, the report says so explicitly.
-        let off = run_pipeline_instrumented(
+        let off = instrumented(
             &space,
             &w,
             &platform,
@@ -870,9 +778,7 @@ mod tests {
             faults: dr_fault::FaultConfig::light().with_seed(7),
             ..PipelineConfig::quick()
         };
-        let run = || {
-            run_pipeline_instrumented(&space, &w, &platform, Strategy::Exhaustive, &cfg).unwrap()
-        };
+        let run = || instrumented(&space, &w, &platform, Strategy::Exhaustive, &cfg).unwrap();
         let a = run();
         let r = a.report.resilience.expect("resilience block present");
         assert!(r.evaluations >= a.result.records.len() as u64);
@@ -901,7 +807,7 @@ mod tests {
         // Fault-free runs keep the pre-chaos shape — unless the test
         // suite itself runs under DR_FAULTS, in which case the inactive
         // config defers to the environment by design.
-        let clean = run_pipeline_instrumented(
+        let clean = instrumented(
             &space,
             &w,
             &platform,
@@ -921,7 +827,7 @@ mod tests {
     #[test]
     fn chaos_pipeline_with_lint_keeps_both_reports() {
         let (space, w, platform) = setup();
-        let run = run_pipeline_instrumented(
+        let run = instrumented(
             &space,
             &w,
             &platform,
@@ -953,11 +859,18 @@ mod tests {
             ..PipelineConfig::quick()
         };
         let tracer = Tracer::new();
-        let traced =
-            run_pipeline_traced(&space, &w, &platform, Strategy::Exhaustive, &cfg, &tracer)
-                .unwrap();
-        let plain =
-            run_pipeline_instrumented(&space, &w, &platform, Strategy::Exhaustive, &cfg).unwrap();
+        let traced = run_pipeline_stored(
+            &space,
+            &w,
+            &platform,
+            Strategy::Exhaustive,
+            &cfg,
+            &tracer,
+            None,
+            None,
+        )
+        .unwrap();
+        let plain = instrumented(&space, &w, &platform, Strategy::Exhaustive, &cfg).unwrap();
         // Tracing never perturbs the mined result.
         assert_eq!(traced.result.records.len(), plain.result.records.len());
         for (a, b) in traced.result.records.iter().zip(&plain.result.records) {
@@ -1009,13 +922,15 @@ mod tests {
             config: dr_mcts::MctsConfig::default(),
         };
         let tracer = Tracer::new();
-        let run = run_pipeline_traced(
+        let run = run_pipeline_stored(
             &space,
             &w,
             &platform,
             strategy,
             &PipelineConfig::quick(),
             &tracer,
+            None,
+            None,
         )
         .unwrap();
         assert!(!run.result.records.is_empty());
@@ -1041,10 +956,18 @@ mod tests {
         let buf = dr_obs::SharedBuf::new();
         let sink = EventSink::new("run-test").with_writer(Box::new(buf.clone()));
         let tracer = Tracer::disabled();
-        let watched =
-            run_pipeline_watched(&space, &w, &platform, strategy, &cfg, &tracer, Some(&sink))
-                .unwrap();
-        let plain = run_pipeline_instrumented(&space, &w, &platform, strategy, &cfg).unwrap();
+        let watched = run_pipeline_stored(
+            &space,
+            &w,
+            &platform,
+            strategy,
+            &cfg,
+            &tracer,
+            Some(&sink),
+            None,
+        )
+        .unwrap();
+        let plain = instrumented(&space, &w, &platform, strategy, &cfg).unwrap();
         // Observation never perturbs the record set.
         let set = |r: &[ExploredRecord]| {
             r.iter()
@@ -1151,7 +1074,7 @@ mod tests {
     #[test]
     fn threaded_pipeline_matches_serial_on_exhaustive() {
         let (space, w, platform) = setup();
-        let serial = run_pipeline_instrumented(
+        let serial = instrumented(
             &space,
             &w,
             &platform,
@@ -1162,7 +1085,7 @@ mod tests {
             },
         )
         .unwrap();
-        let par = run_pipeline_instrumented(
+        let par = instrumented(
             &space,
             &w,
             &platform,

@@ -16,7 +16,8 @@
 use crate::report::ResilienceSummary;
 use dr_dag::{build_schedule, DecisionSpace, Traversal};
 use dr_fault::{FaultConfig, FaultPlan};
-use dr_mcts::Evaluator;
+use dr_mcts::{Evaluator, SimEvaluator};
+use dr_par::panic_text;
 use dr_sim::{
     benchmark_instrumented, BenchConfig, BenchResult, CompiledProgram, Platform, SimError,
     SimStats, Workload,
@@ -113,6 +114,21 @@ fn parse_retry_knobs(
     (max_retries, base_ms, cap_ms)
 }
 
+/// The fault configuration a run uses: `configured` when it is active,
+/// otherwise whatever the `DR_FAULTS` environment variable names (clean
+/// when unset). A malformed `DR_FAULTS` is an error.
+pub(crate) fn resolve_faults(configured: FaultConfig) -> Result<FaultConfig, SimError> {
+    if configured.is_active() {
+        return Ok(configured);
+    }
+    match FaultConfig::from_env() {
+        Ok(f) => Ok(f.unwrap_or_else(FaultConfig::clean)),
+        Err(msg) => Err(SimError::Faulted {
+            detail: format!("invalid DR_FAULTS: {msg}"),
+        }),
+    }
+}
+
 /// Thread-safe resilience counters shared by every exploration worker.
 #[derive(Debug, Default)]
 pub struct ResilienceTotals {
@@ -150,14 +166,26 @@ impl ResilienceTotals {
     }
 }
 
-/// Turns a caught panic payload into displayable text.
-fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
+/// The innermost evaluator of a run: the plain simulator, or the
+/// chaos-mode [`ResilientEvaluator`] when faults are active.
+pub(crate) enum SimOrResilient<'a, W: Workload> {
+    Sim(SimEvaluator<'a, W>),
+    Resilient(ResilientEvaluator<'a, W>),
+}
+
+impl<W: Workload> Evaluator for SimOrResilient<'_, W> {
+    fn evaluate(&mut self, t: &Traversal, seed: u64) -> Result<BenchResult, SimError> {
+        match self {
+            SimOrResilient::Sim(e) => e.evaluate(t, seed),
+            SimOrResilient::Resilient(e) => e.evaluate(t, seed),
+        }
+    }
+
+    fn sim_stats(&self) -> Option<&SimStats> {
+        match self {
+            SimOrResilient::Sim(e) => e.sim_stats(),
+            SimOrResilient::Resilient(e) => e.sim_stats(),
+        }
     }
 }
 

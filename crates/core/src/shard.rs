@@ -37,10 +37,9 @@
 use crate::explore::{Strategy, EXHAUSTIVE_MASTER_SEED};
 use crate::ledger::records_fingerprint;
 use crate::pipeline::PipelineConfig;
-use crate::resilient::{ResilienceTotals, ResilientEvaluator};
+use crate::resilient::{resolve_faults, ResilienceTotals, ResilientEvaluator, SimOrResilient};
 use crate::storestage::StoredEvaluator;
 use dr_dag::{eval_seed, DecisionSpace, Traversal};
-use dr_fault::FaultConfig;
 use dr_mcts::{
     shard_root_seed, Evaluator, ExploredRecord, Mcts, MctsConfig, SearchTelemetry, SimEvaluator,
     TelemetryRow,
@@ -48,7 +47,7 @@ use dr_mcts::{
 use dr_obs::events::EventSink;
 use dr_obs::{json, Stopwatch};
 use dr_par::split_budget;
-use dr_sim::{BenchResult, SimError, SimStats, Workload};
+use dr_sim::{SimError, Workload};
 use dr_store::{ResultStore, StoreStats};
 use std::collections::HashMap;
 use std::io::Write;
@@ -353,29 +352,6 @@ impl<'a> Heartbeat<'a> {
     }
 }
 
-/// Either evaluator stack a shard runs: plain simulation, or the
-/// resilient retry-with-reseed stack when fault injection is active.
-enum ShardEval<'a, W: Workload> {
-    Plain(SimEvaluator<'a, W>),
-    Resilient(ResilientEvaluator<'a, W>),
-}
-
-impl<W: Workload> Evaluator for ShardEval<'_, W> {
-    fn evaluate(&mut self, t: &Traversal, seed: u64) -> Result<BenchResult, SimError> {
-        match self {
-            ShardEval::Plain(e) => e.evaluate(t, seed),
-            ShardEval::Resilient(e) => e.evaluate(t, seed),
-        }
-    }
-
-    fn sim_stats(&self) -> Option<&SimStats> {
-        match self {
-            ShardEval::Plain(e) => e.sim_stats(),
-            ShardEval::Resilient(e) => e.sim_stats(),
-        }
-    }
-}
-
 /// Everything one shard run produced.
 #[derive(Debug, Clone)]
 pub struct ShardRunOutcome {
@@ -415,19 +391,7 @@ pub fn run_shard<W: Workload + Sync>(
     let events = events.filter(|s| s.is_enabled());
     let store =
         Arc::new(ResultStore::open(&shard_store_dir(store_root, spec)).map_err(store_io_err)?);
-    let faults = if cfg.faults.is_active() {
-        cfg.faults
-    } else {
-        match FaultConfig::from_env() {
-            Ok(Some(f)) => f,
-            Ok(None) => FaultConfig::clean(),
-            Err(msg) => {
-                return Err(SimError::Faulted {
-                    detail: format!("invalid DR_FAULTS: {msg}"),
-                })
-            }
-        }
-    };
+    let faults = resolve_faults(cfg.faults)?;
     let totals = Arc::new(ResilienceTotals::default());
     let resilient = faults.is_active();
     let inner = if resilient {
@@ -435,13 +399,13 @@ pub fn run_shard<W: Workload + Sync>(
         // one worker's retry schedule without recompiling.
         let (max_retries, backoff_base_ms, backoff_cap_ms) =
             crate::resilient::retry_knobs_from_env();
-        ShardEval::Resilient(
+        SimOrResilient::Resilient(
             ResilientEvaluator::new(space, workload, platform, cfg.bench, faults, totals.clone())
                 .with_max_retries(max_retries)
                 .with_backoff(backoff_base_ms, backoff_cap_ms),
         )
     } else {
-        ShardEval::Plain(SimEvaluator::new(space, workload, platform, cfg.bench))
+        SimOrResilient::Sim(SimEvaluator::new(space, workload, platform, cfg.bench))
     };
     let mut eval = StoredEvaluator::new(inner, Some(store.clone()));
     let mut beat = Heartbeat::new(events, spec);

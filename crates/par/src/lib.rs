@@ -14,8 +14,7 @@
 //!   `catch_unwind` panic isolation and error quarantine, for chaos runs
 //!   where a poisoned evaluation must not take down the exploration;
 //! * [`StripedCache`] — a lock-striped concurrent memo table keyed by a
-//!   caller-supplied canonical hash, so repeated rollouts across workers
-//!   never re-simulate the same traversal;
+//!   caller-supplied canonical hash (the result store's in-memory index);
 //! * [`LruCache`] — a fixed-capacity single-owner LRU (index-linked, no
 //!   allocation churn at steady state), used per worker for the
 //!   simulator's prefix-checkpoint memo.
@@ -35,7 +34,7 @@ mod pool;
 pub use cache::{CacheStats, StripedCache};
 pub use lru::LruCache;
 pub use pool::{
-    par_map_stream, par_map_stream_isolated, par_map_stream_observed, par_map_stream_with,
-    par_map_stream_with_traced, resolve_threads, split_budget, ItemOutcome, PoolObserver,
-    PoolOutcome,
+    panic_text, par_map_stream, par_map_stream_isolated, par_map_stream_observed,
+    par_map_stream_with, par_map_stream_with_traced, resolve_threads, split_budget, ItemOutcome,
+    PoolObserver, PoolOutcome,
 };

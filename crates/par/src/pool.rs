@@ -294,7 +294,7 @@ pub struct PoolOutcome<R, S, Err> {
 }
 
 /// Turns a caught panic payload into displayable text.
-fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
+pub fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

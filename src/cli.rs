@@ -12,11 +12,10 @@ use crate::pipeline::{
     append_entry, apply_fault_plan, certify_rulesets, compare_bench, compare_fleet,
     compare_ledgers, diff_entries, find_entry, is_bench_file, is_fleet_file, ledger_dir_from_env,
     ledger_entry_json, lint_space_watched, load_bench, load_fleet, load_ledger, merge_shards,
-    mine_rules, mine_rules_timed, records_telemetry, run_pipeline, run_pipeline_instrumented,
-    run_pipeline_stored, run_shard, satisfies, select, show_entry, summary_line, synthesize,
-    topology_from_workload, trend_lines, Certification, CompareOptions, InstrumentedRun,
-    LedgerContext, PipelineConfig, Provenance, ResilienceSummary, RunFilter, RunReport,
-    SearchBackend, SearchSummary, ShardSpec, Strategy,
+    mine_rules, mine_rules_timed, records_telemetry, run_pipeline, run_pipeline_stored, run_shard,
+    satisfies, select, show_entry, summary_line, synthesize, topology_from_workload, trend_lines,
+    Certification, CompareOptions, InstrumentedRun, LedgerContext, PipelineConfig, Provenance,
+    ResilienceSummary, RunFilter, RunReport, SearchSummary, ShardSpec, Strategy,
 };
 use crate::progress::ProgressRenderer;
 use crate::sim::{
@@ -199,10 +198,9 @@ pub const USAGE: &str = "usage: dr-rules <scenario> <command> [options]
              --random       (uniform sampling instead of MCTS)
              --threads N    (exploration worker threads; default: the
                              DR_THREADS environment variable, else 1;
-                             DR_SEARCH picks the parallel MCTS backend:
-                             shared = one arena-backed tree with virtual
-                             loss, root = per-worker trees, auto =
-                             shared above one thread)
+                             MCTS runs the serial tree at one thread and
+                             one shared arena-backed tree with virtual
+                             loss above one)
              --report PATH    (write a JSON run report, or lint counters
                                for the lint command)
              --telemetry PATH (write per-iteration search telemetry CSV)
@@ -246,8 +244,8 @@ pub const USAGE: &str = "usage: dr-rules <scenario> <command> [options]
   kinds is an error; last entry of B vs history of A for ledgers).
   explain always searches with MCTS (it explains the MCTS tree) and
   honors --iterations/--seed; --report writes dr-explain/v1 JSON.
-  explain renders the shared arena when DR_SEARCH=shared (or auto
-  resolves to more than one thread), the serial tree otherwise.
+  explain renders the shared arena above one thread, the serial tree
+  otherwise.
   bench appends to BENCH_pipeline.json and BENCH_explore.json in the
   working directory; the scenario picks the scale (spmv = small,
   spmv-paper = paper) and DR_SEED picks the seed, so entries stay
@@ -891,7 +889,6 @@ pub fn run(opts: &CliOptions, out: &mut impl std::io::Write) -> Result<(), Strin
         strategy(opts),
         &PipelineConfig {
             threads: opts.threads.unwrap_or(0),
-            search: SearchBackend::from_env(),
             ..PipelineConfig::quick()
         },
         &tracer,
@@ -1364,8 +1361,7 @@ fn ruleset_support(
 }
 
 /// The `explain` command: run a standalone MCTS at the requested budget
-/// (the serial tree by default; the shared arena when `DR_SEARCH=shared`
-/// or when `Auto` resolves to more than one thread), export per-node
+/// (the serial tree at one thread, the shared arena above one), export per-node
 /// visit/value statistics and the top-k principal variations, then mine
 /// rules from the explored records and attach per-rule provenance —
 /// decision-path predicates, supporting record indices by class, leaf
@@ -1393,10 +1389,8 @@ fn run_explain(
         seed: opts.seed,
         ..Default::default()
     };
-    let backend = SearchBackend::from_env();
     let width = resolve_threads(opts.threads);
-    let shared = backend == SearchBackend::Shared || (backend == SearchBackend::Auto && width > 1);
-    let (snap, records) = if shared {
+    let (snap, records) = if width > 1 {
         explain_shared(
             &inst.space,
             eval,
@@ -1754,7 +1748,6 @@ fn run_verify_rules(
         strategy(opts),
         &PipelineConfig {
             threads: opts.threads.unwrap_or(0),
-            search: SearchBackend::from_env(),
             ..PipelineConfig::quick()
         },
     )
@@ -1986,7 +1979,7 @@ fn run_chaos(
 ) -> Result<(), String> {
     let io = |e: std::io::Error| format!("write failed: {e}");
     let run_once = |faults: FaultConfig| -> Result<InstrumentedRun, SimError> {
-        run_pipeline_instrumented(
+        run_pipeline_stored(
             &inst.space,
             &inst.workload,
             &inst.platform,
@@ -1994,9 +1987,11 @@ fn run_chaos(
             &PipelineConfig {
                 threads: opts.threads.unwrap_or(0),
                 faults,
-                search: SearchBackend::from_env(),
                 ..PipelineConfig::quick()
             },
+            &Tracer::disabled(),
+            None,
+            None,
         )
     };
 

@@ -29,7 +29,6 @@ fn run_ok(args: &[&str], envs: &[(&str, &str)], cwd: &Path) -> Output {
         .env_remove("DR_FAULTS")
         .env_remove("DR_LEDGER")
         .env_remove("DR_THREADS")
-        .env_remove("DR_SEARCH")
         .env_remove("DR_SCALE")
         .env_remove("DR_SEED")
         .env_remove("DR_EVENTS_RATE")
@@ -255,7 +254,7 @@ fn explain_renders_tree_and_rule_provenance_on_spmv() {
 
 #[test]
 fn explain_renders_identical_stats_from_the_shared_arena() {
-    // `DR_SEARCH=shared` routes `explain` through the shared-tree arena;
+    // Four threads route `explain` through the shared-tree arena;
     // the rendered statistics must keep the exact serial-tree shape
     // (same needles, same `dr-explain/v1` schema) and be bit-identical
     // across repeated runs regardless of the worker count.
@@ -271,7 +270,7 @@ fn explain_renders_identical_stats_from_the_shared_arena() {
         "--report",
         &report.display().to_string(),
     ];
-    let envs = [("DR_SEARCH", "shared"), ("DR_THREADS", "4")];
+    let envs = [("DR_THREADS", "4")];
     let first = run_ok(&args, &envs, &dir);
     let first_stdout = String::from_utf8_lossy(&first.stdout).to_string();
     let first_json = std::fs::read_to_string(&report).unwrap();

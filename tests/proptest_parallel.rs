@@ -6,7 +6,7 @@ mod common;
 
 use common::arb_small_space;
 use cuda_mpi_design_rules::dag::eval_seed;
-use cuda_mpi_design_rules::mcts::{CachingEvaluator, Evaluator, SimEvaluator};
+use cuda_mpi_design_rules::mcts::{Evaluator, SimEvaluator};
 use cuda_mpi_design_rules::par::{par_map_stream_with, StripedCache};
 use cuda_mpi_design_rules::sim::{BenchConfig, Platform, SimStats, TableWorkload};
 use proptest::prelude::*;
@@ -22,9 +22,9 @@ fn workload_for(space: &cuda_mpi_design_rules::dag::DecisionSpace) -> TableWorkl
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The cache-wrapped evaluator returns bit-identical results to the
-    /// bare evaluator for every traversal, including repeats, and its
-    /// hit/miss counters account for exactly the repeats.
+    /// Evaluating through the striped cache returns bit-identical results
+    /// to the bare evaluator for every traversal, including repeats, and
+    /// the cache's hit/miss counters account for exactly the repeats.
     #[test]
     fn cached_evaluation_equals_direct_evaluation(
         space in arb_small_space(4, 200),
@@ -36,14 +36,15 @@ proptest! {
 
         let mut direct = SimEvaluator::new(&space, &w, &platform, BenchConfig::quick());
         let cache = StripedCache::new(8);
-        let inner = SimEvaluator::new(&space, &w, &platform, BenchConfig::quick());
-        let mut cached = CachingEvaluator::new(inner, &cache);
+        let mut inner = SimEvaluator::new(&space, &w, &platform, BenchConfig::quick());
 
         for _ in 0..repeats {
             for t in &uniques {
                 let seed = eval_seed(7, t);
                 let a = direct.evaluate(t, seed).unwrap();
-                let b = cached.evaluate(t, seed).unwrap();
+                let b = cache
+                    .get_or_try_insert(t.canonical_hash(), t, || inner.evaluate(t, seed))
+                    .unwrap();
                 prop_assert_eq!(a, b);
             }
         }
