@@ -236,12 +236,67 @@ impl Node {
     }
 }
 
+/// The tree's nodes, stored in fixed-size chunks so the tree grows
+/// without ever moving a node. One contiguous vector would double into a
+/// multi-MiB block, and whether the allocator can reuse such a block's
+/// freed space in the next search makes peak memory vary between runs by
+/// the size of the whole tree; chunks of equal, moderate size are reused
+/// exactly.
+struct Nodes {
+    chunks: Vec<Vec<Node>>,
+    len: usize,
+}
+
+impl Nodes {
+    /// Nodes per chunk (80 KiB of nodes).
+    const CHUNK: usize = 1 << 10;
+
+    fn new(root: Node) -> Self {
+        let mut nodes = Nodes {
+            chunks: Vec::new(),
+            len: 0,
+        };
+        nodes.push(root);
+        nodes
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn push(&mut self, node: Node) {
+        if self.len.is_multiple_of(Self::CHUNK) {
+            self.chunks.push(Vec::with_capacity(Self::CHUNK));
+        }
+        self.chunks[self.len / Self::CHUNK].push(node);
+        self.len += 1;
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Node> {
+        self.chunks.iter().flatten()
+    }
+}
+
+impl std::ops::Index<NodeId> for Nodes {
+    type Output = Node;
+
+    fn index(&self, id: NodeId) -> &Node {
+        &self.chunks[id / Self::CHUNK][id % Self::CHUNK]
+    }
+}
+
+impl std::ops::IndexMut<NodeId> for Nodes {
+    fn index_mut(&mut self, id: NodeId) -> &mut Node {
+        &mut self.chunks[id / Self::CHUNK][id % Self::CHUNK]
+    }
+}
+
 /// The Monte-Carlo tree search state.
 pub struct Mcts<'a, E: Evaluator> {
     space: &'a DecisionSpace,
     eval: E,
     cfg: MctsConfig,
-    nodes: Vec<Node>,
+    nodes: Nodes,
     records: Vec<ExploredRecord>,
     /// Canonical-hash index into `records` (values are candidate record
     /// indices; equality is re-checked, so a hash collision costs a probe
@@ -282,7 +337,7 @@ impl<'a, E: Evaluator> Mcts<'a, E> {
             space,
             eval,
             cfg,
-            nodes: vec![Node::new(root_actions)],
+            nodes: Nodes::new(Node::new(root_actions)),
             records: Vec::new(),
             seen: HashMap::new(),
             failed: HashMap::new(),
@@ -873,6 +928,29 @@ mod tests {
             .cost_all("b", 2e-4)
             .cost_all("c", 5e-5);
         w
+    }
+
+    #[test]
+    fn node_ids_address_the_right_node_across_chunks() {
+        let count = Nodes::CHUNK * 2 + 3;
+        let mut nodes = Nodes::new(Node::new(0));
+        for i in 1..count {
+            nodes.push(Node::new(i));
+        }
+        assert_eq!(nodes.len(), count);
+        assert_eq!(nodes.chunks.len(), 3);
+        for id in [
+            0,
+            Nodes::CHUNK - 1,
+            Nodes::CHUNK,
+            2 * Nodes::CHUNK,
+            count - 1,
+        ] {
+            assert_eq!(nodes[id].num_actions, id);
+        }
+        nodes[Nodes::CHUNK].n = 7;
+        assert_eq!(nodes.iter().nth(Nodes::CHUNK).unwrap().n, 7);
+        assert!(nodes.iter().map(|n| n.num_actions).eq(0..count));
     }
 
     #[test]
