@@ -133,3 +133,66 @@ fn spmv_mcts_light_faults_shared_arena() {
     let got = row(&sc.space, &sc.workload, &sc.platform, mcts(120), &cfg);
     assert_eq!(got, ("ade081a04174b4d8".to_string(), 117, 2, 7));
 }
+
+/// `(budget, fingerprint, records, report.search.tree_nodes)` of
+/// one-thread MCTS pipeline runs over a budget sweep. The tree size pins
+/// the search's shape, not just the record list it produced.
+fn budget_sweep<W: Workload + Sync>(
+    space: &cuda_mpi_design_rules::dag::DecisionSpace,
+    workload: &W,
+    platform: &Platform,
+) -> Vec<(usize, String, usize, usize)> {
+    isolate_env();
+    [50, 100, 200, 400]
+        .into_iter()
+        .map(|budget| {
+            let run = run_pipeline_stored(
+                space,
+                workload,
+                platform,
+                mcts(budget),
+                &config(1),
+                &Tracer::disabled(),
+                None,
+                None,
+            )
+            .unwrap();
+            (
+                budget,
+                format!("{:016x}", records_fingerprint(&run.result.records)),
+                run.result.records.len(),
+                run.report.search.tree_nodes,
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn halo_mcts_budget_sweep_one_thread() {
+    let sc = HaloScenario::cube2(SEED);
+    let got = budget_sweep(&sc.space, &sc.workload, &sc.platform);
+    assert_eq!(
+        got,
+        vec![
+            (50, "3e531cf771138616".to_string(), 50, 1252),
+            (100, "693f3e031415fe78".to_string(), 100, 2459),
+            (200, "8f623844756da23e".to_string(), 200, 4847),
+            (400, "302ef71d28aded81".to_string(), 400, 9546),
+        ]
+    );
+}
+
+#[test]
+fn spmv_mcts_budget_sweep_one_thread() {
+    let sc = SpmvScenario::paper(SEED);
+    let got = budget_sweep(&sc.space, &sc.workload, &sc.platform);
+    assert_eq!(
+        got,
+        vec![
+            (50, "174f86c863f513ca".to_string(), 50, 280),
+            (100, "13c6b2d4113c5f24".to_string(), 100, 468),
+            (200, "bc744f1425d4fdeb".to_string(), 200, 711),
+            (400, "97348831398e8e10".to_string(), 400, 1231),
+        ]
+    );
+}
