@@ -328,7 +328,7 @@ impl<'a> SharedMcts<'a> {
         let mut batch = Batch::default();
         while batch.pending.len() < width && (batch.iterations as u64) < cap && !self.is_exhausted()
         {
-            let Some((path, traversal, rollout_len)) = self.descend() else {
+            let Some((path, traversal, rollout_len)) = self.descend(width) else {
                 // Pruned descent: the subtree is retired; account for the
                 // iteration and move on without an evaluation slot.
                 self.iterations += 1;
@@ -644,7 +644,7 @@ impl<'a> SharedMcts<'a> {
     /// One selection → expansion → rollout descent. Returns `None` when
     /// the prune hook rejected the freshly-expanded prefix: the subtree
     /// is already retired and no virtual loss was applied.
-    fn descend(&mut self) -> Option<(Vec<NodeId>, Traversal, usize)> {
+    fn descend(&mut self, width: usize) -> Option<(Vec<NodeId>, Traversal, usize)> {
         let mut prefix = self.space.empty_prefix();
         for &p in &self.base {
             self.space.apply(&mut prefix, p);
@@ -669,7 +669,7 @@ impl<'a> SharedMcts<'a> {
                 break;
             }
             let best = self
-                .select_child(node, &elig)
+                .select_child(node, &elig, width)
                 .expect("non-fully-explored node has a selectable child");
             let child = self.nodes[node].child(best).expect("selected child exists");
             self.space.apply(&mut prefix, best);
@@ -730,11 +730,14 @@ impl<'a> SharedMcts<'a> {
         Some((path, traversal, rollout_len))
     }
 
-    /// PUCT selection over materialized children: `Q_eff + c · prior ·
-    /// √N_parent / (1 + n_eff)` with virtual loss folded into the visit
-    /// counts. The exploitation signal `Q` is the serial engine's
-    /// (coverage range by default); the uniform prior is the policy slot.
-    fn select_child(&self, parent: NodeId, elig: &[Placement]) -> Option<Placement> {
+    /// The selection rule over materialized children, chosen by the batch
+    /// width. At width 1 no rollout is ever pending during a descent, and
+    /// the rule is the paper's UCT: `Q + c·sqrt(ln N / n)`. Above width 1
+    /// it is PUCT, `Q_eff + c · prior · √N_parent / (1 + n_eff)`, with
+    /// virtual loss folded into the visit counts. Fully explored children
+    /// are never selected. The exploitation signal `Q` is coverage range
+    /// by default; PUCT's uniform prior is the policy slot.
+    fn select_child(&self, parent: NodeId, elig: &[Placement], width: usize) -> Option<Placement> {
         let pn = &self.nodes[parent];
         let parent_range = pn.t_max - pn.t_min;
         let parent_n_eff = pn.n + pn.vl as u64;
@@ -770,15 +773,19 @@ impl<'a> SharedMcts<'a> {
                 }
                 Exploitation::Constant => 1.0,
             };
-            // Virtual-loss discount: a node whose visits are all pending
-            // contributes no exploitation value until results commit.
-            let q_eff = if n_eff > 0 {
-                q * (ch.n as f64 / n_eff as f64)
+            let value = if width == 1 {
+                self.cfg.exploration_c * ((pn.n as f64).ln() / ch.n as f64).sqrt() + q
             } else {
-                q
+                // Virtual-loss discount: a node whose visits are all
+                // pending contributes no exploitation value until results
+                // commit.
+                let q_eff = if n_eff > 0 {
+                    q * (ch.n as f64 / n_eff as f64)
+                } else {
+                    q
+                };
+                q_eff + self.cfg.exploration_c * prior * sqrt_parent / (1.0 + n_eff as f64)
             };
-            let u = self.cfg.exploration_c * prior * sqrt_parent / (1.0 + n_eff as f64);
-            let value = q_eff + u;
             if best.is_none_or(|(bv, _)| value > bv) {
                 best = Some((value, p));
             }
@@ -1092,13 +1099,13 @@ mod tests {
         }
         let loaded = mcts.nodes[mcts.root].child(elig[0]).unwrap();
         mcts.nodes[loaded].vl = 1;
-        let picked = mcts.select_child(mcts.root, &elig).unwrap();
+        let picked = mcts.select_child(mcts.root, &elig, 2).unwrap();
         assert_eq!(
             picked, elig[1],
             "virtual loss deprioritizes the pending child"
         );
         mcts.nodes[loaded].vl = 0;
-        let repicked = mcts.select_child(mcts.root, &elig).unwrap();
+        let repicked = mcts.select_child(mcts.root, &elig, 2).unwrap();
         assert_eq!(
             repicked, elig[0],
             "ties break to the first child once cleared"
