@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use dr_dag::{build_schedule, Traversal};
-use dr_mcts::{Mcts, MctsConfig, SimEvaluator};
+use dr_mcts::{Evaluator, Mcts, MctsConfig, SimEvaluator};
 use dr_ml::{algorithm1, featurize, label_times, DecisionTree, TrainConfig};
 use dr_sim::{benchmark, execute, BenchConfig, CompiledProgram};
 use dr_spmv::SpmvScenario;
@@ -57,22 +57,19 @@ fn bench_mcts(c: &mut Criterion) {
     c.bench_function("mcts/100_iterations", |b| {
         b.iter_batched(
             || {
-                Mcts::new(
+                let eval = SimEvaluator::new(
                     &sc.space,
-                    SimEvaluator::new(
-                        &sc.space,
-                        &sc.workload,
-                        &sc.platform,
-                        BenchConfig {
-                            t_measure: 1e-4,
-                            num_measurements: 1,
-                            max_samples: 1,
-                        },
-                    ),
-                    MctsConfig::default(),
-                )
+                    &sc.workload,
+                    &sc.platform,
+                    BenchConfig {
+                        t_measure: 1e-4,
+                        num_measurements: 1,
+                        max_samples: 1,
+                    },
+                );
+                (Mcts::new(&sc.space, MctsConfig::default()), eval)
             },
-            |mut m| m.run(100).unwrap(),
+            |(mut m, mut eval)| m.run(100, 1, |batch| eval.evaluate_batch(batch)).unwrap(),
             BatchSize::SmallInput,
         )
     });

@@ -1,6 +1,6 @@
 //! Thread-scaling benchmark of the parallel exploration engine: times
 //! the exhaustive sweep of the canonical SpMV space at 1/2/4/8 worker
-//! threads plus a shared-arena MCTS leg at 4 threads, verifies every
+//! threads plus a batched MCTS leg at 4 threads, verifies every
 //! exhaustive leg reproduces the serial record set,
 //! and appends the measurements to the `BENCH_explore.json` history.
 //!

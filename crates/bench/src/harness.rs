@@ -163,8 +163,8 @@ fn record_set(out: &ExploreOutput) -> Vec<(u64, u64)> {
 }
 
 /// Thread-scaling benchmark of the parallel exploration engine:
-/// exhaustive sweeps at 1/2/4/8 worker threads plus a shared-arena
-/// MCTS leg at 4 threads, verifying every leg reproduces the serial record set.
+/// exhaustive sweeps at 1/2/4/8 worker threads plus a batched MCTS leg
+/// at 4 threads, verifying every leg reproduces the serial record set.
 /// Renders a progress table to `out` and returns the validated report
 /// JSON (one history entry).
 pub fn explore_report(scale: &str, seed: u64, out: &mut dyn Write) -> Result<String, BoxError> {

@@ -15,8 +15,8 @@
 
 use dr_dag::{eval_seed, DecisionSpace, Traversal};
 use dr_mcts::{
-    Evaluator, ExploredRecord, Mcts, MctsConfig, PruneHook, SearchTelemetry, SharedMcts,
-    TelemetryRow, TreeStats,
+    Evaluator, ExploredRecord, Mcts, MctsConfig, PruneHook, SearchTelemetry, TelemetryRow,
+    TreeStats,
 };
 use dr_obs::events::EventSink;
 use dr_par::{
@@ -127,13 +127,13 @@ impl Strategy {
     }
 }
 
-/// The MCTS engine selection. The thread count alone picks the engine:
-/// the serial tree at one thread, the shared arena above one, so `Auto`
-/// is the only choice.
+/// The MCTS engine selection. There is one engine, [`dr_mcts::Mcts`];
+/// the thread count sets its batch width, and the width picks the
+/// selection rule (the paper's UCT at one thread, PUCT with virtual loss
+/// above), so `Auto` is the only choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SearchBackend {
-    /// Serial tree at one thread (keeping the single-thread hot path
-    /// free of batching overhead), shared tree above.
+    /// Batch width equal to the thread count.
     #[default]
     Auto,
 }
@@ -158,8 +158,8 @@ pub fn explore<E: Evaluator>(
             })
             .collect(),
         Strategy::Mcts { iterations, config } => {
-            let mut mcts = Mcts::new(space, eval, config);
-            mcts.run(iterations)?;
+            let mut mcts = Mcts::new(space, config);
+            mcts.run(iterations, 1, |batch| eval.evaluate_batch(batch))?;
             Ok(mcts.into_records())
         }
         Strategy::Random { iterations, seed } => {
@@ -181,9 +181,10 @@ pub struct ExploreOutput {
     /// the serial run's exactly; floating-point aggregates may differ
     /// in the last bits because summation order differs.
     pub sim: Option<SimStats>,
-    /// Repeat/distinct counters of the shared MCTS arena (all zero for
-    /// the serial tree and for strategies that never re-visit a
-    /// traversal).
+    /// MCTS repeat/distinct counters: `hits` counts rollouts that
+    /// regenerated an already-measured traversal, `misses` the distinct
+    /// traversals measured (all zero for strategies that never re-visit
+    /// a traversal).
     pub cache: CacheStats,
     /// Number of worker threads actually used.
     pub threads: usize,
@@ -216,9 +217,10 @@ pub struct ExploreOutput {
 ///   rollout is a pure function of `(seed, iteration)`), deduplicates,
 ///   and fans out only the expensive evaluations; the record list again
 ///   matches [`explore`] at every thread count.
-/// * `Mcts` runs the serial tree at one thread (the record list equals
-///   [`explore`]'s) and the shared arena above one. The arena's batch
-///   width follows the thread count, so under a partial budget different
+/// * `Mcts` runs the one search engine with a batch width equal to the
+///   thread count. At one thread it is the paper's sequential UCT search
+///   and the record list equals [`explore`]'s. Above one, the selection
+///   rule is PUCT with virtual loss, so under a partial budget different
 ///   thread counts may surface different subsets; once the budget
 ///   exhausts the space, the record set is thread-count-invariant.
 ///
@@ -273,37 +275,7 @@ where
             ))
         }
         Strategy::Random { iterations, seed } => random_parallel(space, &pool, iterations, seed),
-        Strategy::Mcts { iterations, config } if threads == 1 => {
-            let mut mcts = Mcts::new(space, make_eval(), config);
-            if let Some(lane) = mcts_lane(tracer, "mcts-0", dispatch) {
-                mcts.set_trace(lane, mcts_trace_every());
-            }
-            if let Some(sink) = events {
-                mcts.set_events(sink.clone(), events_rate());
-            }
-            if let Some(hook) = prune {
-                mcts.set_prune(hook);
-            }
-            mcts.run(iterations)?;
-            let quarantined = mcts.failures() as u64;
-            let tree = mcts.stats();
-            let exhausted = mcts.is_exhausted();
-            let pruned = mcts.pruned();
-            let (records, telemetry, eval) = mcts.into_parts();
-            Ok(ExploreOutput {
-                records,
-                telemetry,
-                sim: eval.sim_stats().cloned(),
-                cache: CacheStats::default(),
-                threads: 1,
-                failures: Vec::new(),
-                quarantined,
-                pruned,
-                tree: Some(tree),
-                exhausted,
-            })
-        }
-        Strategy::Mcts { iterations, config } => mcts_shared_parallel(
+        Strategy::Mcts { iterations, config } => mcts_parallel(
             space, &make_eval, iterations, config, threads, tracer, dispatch, events, prune,
         ),
     }
@@ -530,24 +502,19 @@ where
     ))
 }
 
-/// Shared-tree parallel MCTS: one arena-backed tree on the coordinating
-/// thread, batch assembly under virtual loss, and a fixed pool of
-/// `threads` persistent evaluators that measure each batch's pending
-/// traversals in parallel (entry `i` of a batch always runs on
-/// evaluator slot `i`, so per-evaluator memo state evolves
-/// deterministically).
+/// MCTS with `threads` evaluators: one tree on the coordinating thread,
+/// batches of up to `threads` traversals, and a fixed pool of persistent
+/// evaluators. Entry `i` of a batch always runs on evaluator slot `i`, so
+/// per-evaluator memo state evolves deterministically; a batch of one is
+/// measured on the coordinating thread, every larger batch on scoped
+/// threads.
 ///
 /// Determinism: assembly runs entirely on the coordinator (the worker
 /// threads never touch the tree), and every evaluation result is a pure
 /// function of its traversal, so the whole run — records, telemetry,
-/// tree — is a pure function of `(strategy, config, threads)`. Because
-/// batch width follows the thread count, different thread counts visit
-/// the space in different orders; records are therefore returned sorted
-/// by [`Traversal::canonical_hash`], which makes the record *list* (not
-/// just the set) thread-count-invariant once the budget exhausts the
-/// space.
+/// tree — is a pure function of `(strategy, config, threads)`.
 #[allow(clippy::too_many_arguments)]
-fn mcts_shared_parallel<E, F>(
+fn mcts_parallel<E, F>(
     space: &DecisionSpace,
     make_eval: &F,
     iterations: usize,
@@ -569,7 +536,7 @@ where
             sink.emit("worker-start", &[("worker", worker.into())]);
         }
     }
-    let mut mcts = SharedMcts::new(space, config);
+    let mut mcts = Mcts::new(space, config);
     if let Some(hook) = prune {
         mcts.set_prune(hook);
     }
@@ -580,22 +547,15 @@ where
         mcts.set_events(sink.clone(), events_rate());
     }
 
-    let mut remaining = iterations as u64;
-    while remaining > 0 && !mcts.is_exhausted() {
-        let batch = mcts.select_batch(threads, remaining);
-        remaining = remaining.saturating_sub(batch.iterations as u64);
-        if batch.pending.is_empty() {
-            if batch.iterations == 0 {
-                break; // defensive: no progress possible
-            }
-            continue; // assembly resolved everything inline
-        }
-        for n in items.iter_mut().take(batch.pending.len()) {
+    mcts.run(iterations, threads, |batch| {
+        for n in items.iter_mut().take(batch.len()) {
             *n += 1;
         }
-        let results: Vec<Result<BenchResult, SimError>> = std::thread::scope(|s| {
+        if let [pe] = batch {
+            return vec![contained_eval(&mut evals[0], &pe.traversal, pe.eval_seed)];
+        }
+        std::thread::scope(|s| {
             let handles: Vec<_> = batch
-                .pending
                 .iter()
                 .zip(evals.iter_mut())
                 .map(|(pe, eval)| {
@@ -604,11 +564,10 @@ where
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("shared MCTS evaluation thread panicked"))
+                .map(|h| h.join().expect("MCTS evaluation thread panicked"))
                 .collect()
-        });
-        mcts.commit(batch, results)?;
-    }
+        })
+    })?;
 
     if let Some(sink) = events {
         for (worker, &n) in items.iter().enumerate() {
@@ -628,18 +587,7 @@ where
     let pruned = mcts.pruned();
     let tree = mcts.stats();
     let exhausted = mcts.is_exhausted();
-    let (mut records, raw_telemetry) = mcts.into_parts();
-    records.sort_by_key(|r| r.traversal.canonical_hash());
-    // Commit-time rows carry assembly iteration numbers, which are not
-    // monotone across batches; renumber in push (commit) order so the
-    // merged telemetry reads like the serial engine's.
-    let mut telemetry = SearchTelemetry::new();
-    for (i, row) in raw_telemetry.rows().iter().enumerate() {
-        telemetry.push(TelemetryRow {
-            iteration: i as u64 + 1,
-            ..*row
-        });
-    }
+    let (records, telemetry) = mcts.into_parts();
     Ok(ExploreOutput {
         records,
         telemetry,
@@ -818,10 +766,10 @@ mod tests {
 
     #[test]
     fn shared_tree_mcts_is_thread_count_invariant_at_exhaustion() {
-        // The shared arena sorts records canonically, so at exhaustion
-        // not just the record set but the record *list* must be
-        // identical across thread counts, and must equal the serial
-        // tree's record set.
+        // Above one thread records come back in canonical order, so at
+        // exhaustion not just the record set but the record *list* must
+        // be identical across thread counts, and must equal the
+        // one-thread record set.
         let strategy = Strategy::Mcts {
             iterations: 200,
             config: MctsConfig::default(),

@@ -49,8 +49,7 @@ pub struct PipelineConfig {
     /// (MAD-screened) labeling.
     pub faults: FaultConfig,
     /// The MCTS engine selection. [`SearchBackend::Auto`] is the only
-    /// value: the thread count picks the engine (the serial tree at one
-    /// thread, the shared arena above one).
+    /// value: the thread count sets the one engine's batch width.
     pub search: SearchBackend,
 }
 
@@ -128,8 +127,8 @@ pub struct InstrumentedRun {
     /// Per-iteration search telemetry (one row per exploration
     /// iteration).
     pub telemetry: SearchTelemetry,
-    /// Repeat/distinct counters of the shared MCTS arena (all zero for
-    /// serial runs and strategies that never re-visit a traversal).
+    /// MCTS repeat/distinct counters (see `ExploreOutput::cache`; all
+    /// zero for strategies that never re-visit a traversal).
     pub cache: CacheStats,
     /// Number of exploration worker threads actually used.
     pub threads: usize,

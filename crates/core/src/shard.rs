@@ -421,12 +421,12 @@ pub fn run_shard<W: Workload + Sync>(
                 config.max_failures = budget;
             }
             beat.emit(0, budget);
-            let mut mcts = Mcts::new(space, eval, config);
+            let mut mcts = Mcts::new(space, config);
             // Chunked search so long budgets still beat regularly.
             let mut done = 0usize;
             while done < budget {
                 let step = (budget - done).min(16);
-                mcts.run(step)?;
+                mcts.run(step, 1, |batch| eval.evaluate_batch(batch))?;
                 done += step;
                 beat.maybe(done, budget);
                 if mcts.is_exhausted() {

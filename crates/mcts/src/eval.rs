@@ -1,6 +1,7 @@
 //! Evaluation of candidate traversals: the bridge between the search and
 //! the (simulated) platform.
 
+use crate::search::PendingEval;
 use dr_dag::{build_schedule, DecisionSpace, Traversal};
 use dr_sim::{
     benchmark_memo_instrumented, BenchConfig, BenchResult, CompiledProgram, Platform, SimError,
@@ -17,6 +18,16 @@ use dr_sim::{
 pub trait Evaluator {
     /// Benchmarks `t` and returns its measurement record.
     fn evaluate(&mut self, t: &Traversal, seed: u64) -> Result<BenchResult, SimError>;
+
+    /// Measures a batch of pending search traversals one after another on
+    /// the calling thread, one result per entry, in order: the inline
+    /// evaluation closure for [`Mcts::run`](crate::Mcts::run).
+    fn evaluate_batch(&mut self, batch: &[PendingEval]) -> Vec<Result<BenchResult, SimError>> {
+        batch
+            .iter()
+            .map(|pe| self.evaluate(&pe.traversal, pe.eval_seed))
+            .collect()
+    }
 
     /// Simulator statistics accumulated across every evaluation so far.
     /// `None` for evaluators that do not run the simulator (the default).

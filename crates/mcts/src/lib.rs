@@ -8,10 +8,11 @@
 //! which is exactly the data the downstream rule-mining pipeline needs.
 //!
 //! * [`Mcts`] — the four-phase search (selection / expansion / rollout /
-//!   backpropagation) with exhaustion detection;
-//! * [`SharedMcts`] — the shared-tree variant: one arena-backed tree whose
-//!   leaf evaluations are batched for parallel workers, with virtual loss
-//!   steering concurrent descents apart;
+//!   backpropagation) with exhaustion detection, on one arena-backed
+//!   tree. Iterations run in batches whose evaluations the caller
+//!   measures inline or on parallel workers; the batch width picks the
+//!   selection rule — the paper's UCT at width 1, PUCT with virtual loss
+//!   steering concurrent descents apart above it;
 //! * [`Evaluator`] / [`SimEvaluator`] — measurement of rollouts via the
 //!   platform simulator;
 //! * [`random_search`] — the uniform random-sampling baseline the paper's
@@ -22,15 +23,13 @@
 
 mod eval;
 mod random;
-mod shared;
+mod search;
 mod telemetry;
-mod tree;
 
 pub use eval::{Evaluator, SimEvaluator};
 pub use random::{random_rollout, random_search, random_search_telemetry, shard_root_seed};
-pub use shared::{Batch, PendingEval, SharedMcts};
-pub use telemetry::{SearchTelemetry, TelemetryRow};
-pub use tree::{
-    Exploitation, ExploredRecord, Mcts, MctsConfig, NodeStat, PrincipalVariation, PruneHook,
-    StepOutcome, TreeSnapshot, TreeStats,
+pub use search::{
+    Exploitation, ExploredRecord, Mcts, MctsConfig, NodeStat, PendingEval, PrincipalVariation,
+    PruneHook, TreeSnapshot, TreeStats,
 };
+pub use telemetry::{SearchTelemetry, TelemetryRow};

@@ -9,8 +9,8 @@
 //! benchmarked with the same protocol as MCTS rollouts.
 
 use crate::eval::Evaluator;
+use crate::search::ExploredRecord;
 use crate::telemetry::{SearchTelemetry, TelemetryRow};
-use crate::tree::ExploredRecord;
 use dr_dag::{eval_seed, DecisionSpace, Traversal};
 use dr_sim::SimError;
 use rand::rngs::SmallRng;

@@ -3,7 +3,7 @@
 //! without writing any Rust. Used by the `dr-rules` binary.
 
 use crate::dag::{build_schedule, DecisionSpace, Placement, Traversal};
-use crate::mcts::{Evaluator, Mcts, MctsConfig, SharedMcts, SimEvaluator, TreeSnapshot};
+use crate::mcts::{Evaluator, Mcts, MctsConfig, SimEvaluator};
 use crate::ml::{render_ruleset, rulesets_for_class, RuleSet};
 use crate::obs::TextExposition;
 use crate::obs::{json, EventSink, Phases};
@@ -198,9 +198,9 @@ pub const USAGE: &str = "usage: dr-rules <scenario> <command> [options]
              --random       (uniform sampling instead of MCTS)
              --threads N    (exploration worker threads; default: the
                              DR_THREADS environment variable, else 1;
-                             MCTS runs the serial tree at one thread and
-                             one shared arena-backed tree with virtual
-                             loss above one)
+                             MCTS measures one traversal at a time at
+                             one thread, as the paper does, and batches
+                             of N under virtual loss above one)
              --report PATH    (write a JSON run report, or lint counters
                                for the lint command)
              --telemetry PATH (write per-iteration search telemetry CSV)
@@ -244,8 +244,7 @@ pub const USAGE: &str = "usage: dr-rules <scenario> <command> [options]
   kinds is an error; last entry of B vs history of A for ledgers).
   explain always searches with MCTS (it explains the MCTS tree) and
   honors --iterations/--seed; --report writes dr-explain/v1 JSON.
-  explain renders the shared arena above one thread, the serial tree
-  otherwise.
+  explain searches with the same batch width as explore.
   bench appends to BENCH_pipeline.json and BENCH_explore.json in the
   working directory; the scenario picks the scale (spmv = small,
   spmv-paper = paper) and DR_SEED picks the seed, so entries stay
@@ -1361,7 +1360,7 @@ fn ruleset_support(
 }
 
 /// The `explain` command: run a standalone MCTS at the requested budget
-/// (the serial tree at one thread, the shared arena above one), export per-node
+/// (batch width = the thread count), export per-node
 /// visit/value statistics and the top-k principal variations, then mine
 /// rules from the explored records and attach per-rule provenance —
 /// decision-path predicates, supporting record indices by class, leaf
@@ -1379,7 +1378,7 @@ fn run_explain(
     const RULESETS_PER_CLASS: usize = 3;
     const INDICES_SHOWN: usize = 8;
 
-    let eval = SimEvaluator::new(
+    let mut eval = SimEvaluator::new(
         &inst.space,
         &inst.workload,
         &inst.platform,
@@ -1389,24 +1388,15 @@ fn run_explain(
         seed: opts.seed,
         ..Default::default()
     };
-    let width = resolve_threads(opts.threads);
-    let (snap, records) = if width > 1 {
-        explain_shared(
-            &inst.space,
-            eval,
-            cfg,
-            width,
-            opts.iterations,
-            TOP_K,
-            MAX_NODES,
-        )
-        .map_err(fail)?
-    } else {
-        let mut mcts = Mcts::new(&inst.space, eval, cfg);
-        mcts.run(opts.iterations).map_err(fail)?;
-        let snap = mcts.snapshot(TOP_K, MAX_NODES);
-        (snap, mcts.into_records())
-    };
+    // Batches are evaluated in place: the tree statistics, not
+    // wall-clock speed, are what `explain` reports.
+    let mut mcts = Mcts::new(&inst.space, cfg);
+    mcts.run(opts.iterations, resolve_threads(opts.threads), |batch| {
+        eval.evaluate_batch(batch)
+    })
+    .map_err(fail)?;
+    let snap = mcts.snapshot(TOP_K, MAX_NODES);
+    let records = mcts.into_records();
     if records.is_empty() {
         return Err("search explored no implementations (try more iterations)".into());
     }
@@ -1554,46 +1544,6 @@ fn run_explain(
         writeln!(out, "wrote explain report to {path}").map_err(io)?;
     }
     Ok(())
-}
-
-/// Drives the shared-tree search for `explain`: batches of up to
-/// `width` distinct leaves are assembled under virtual loss and
-/// evaluated in place (the arena statistics, not wall-clock speed, are
-/// what `explain` reports), then the snapshot is taken from the shared
-/// arena. Records are sorted by canonical hash so the report is
-/// width-invariant at exhaustion, matching the parallel pipeline
-/// driver.
-fn explain_shared<E: Evaluator>(
-    space: &DecisionSpace,
-    mut eval: E,
-    cfg: MctsConfig,
-    width: usize,
-    iterations: usize,
-    top_k: usize,
-    max_nodes: usize,
-) -> Result<(TreeSnapshot, Vec<crate::mcts::ExploredRecord>), SimError> {
-    let mut mcts = SharedMcts::new(space, cfg);
-    let mut remaining = iterations as u64;
-    while remaining > 0 && !mcts.is_exhausted() {
-        let batch = mcts.select_batch(width, remaining);
-        remaining = remaining.saturating_sub(batch.iterations as u64);
-        if batch.pending.is_empty() {
-            if batch.iterations == 0 {
-                break;
-            }
-            continue;
-        }
-        let results: Vec<_> = batch
-            .pending
-            .iter()
-            .map(|p| eval.evaluate(&p.traversal, p.eval_seed))
-            .collect();
-        mcts.commit(batch, results)?;
-    }
-    let snap = mcts.snapshot(top_k, max_nodes);
-    let mut records = mcts.into_records();
-    records.sort_by_key(|r| r.traversal.canonical_hash());
-    Ok((snap, records))
 }
 
 /// Serializes the `explain` command's output as one `dr-explain/v1`

@@ -4,11 +4,13 @@
 //! record *list* in order), the record count, the class count and the
 //! ruleset count.
 //!
-//! The rows cover every engine the pipeline can route to: the pool path
-//! with lint on (exhaustive), the serial MCTS tree (one thread), the
-//! shared arena (four threads), and both again under light fault
-//! injection (the resilient evaluator with in-tree quarantine). A
-//! refactor of the exploration layer must leave every row unchanged.
+//! The rows cover every path the pipeline can route to: the pool path
+//! with lint on (exhaustive), MCTS at one thread (the paper's UCT
+//! search, also swept over budgets 50–400 with the tree size pinned) and
+//! at four threads (PUCT batches under virtual loss), and both MCTS
+//! widths again under light fault injection (the resilient evaluator
+//! with in-tree quarantine). A refactor of the exploration layer must
+//! leave every row unchanged.
 
 use cuda_mpi_design_rules::halo::HaloScenario;
 use cuda_mpi_design_rules::mcts::MctsConfig;

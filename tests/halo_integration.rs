@@ -43,6 +43,11 @@ fn halo_space_is_searchable_but_not_enumerable() {
 
 #[test]
 fn mcts_mines_rules_on_the_halo_space() {
+    // Whether a 120-iteration search's rules mention Interior is a
+    // property of this seed under one configuration: one thread, no
+    // injected faults. Pin that configuration so jobs that set
+    // `DR_THREADS` or `DR_FAULTS` cannot swap in another search.
+    std::env::remove_var("DR_FAULTS");
     let sc = HaloScenario::cube2(3);
     let result = run_pipeline(
         &sc.space,
@@ -55,7 +60,10 @@ fn mcts_mines_rules_on_the_halo_space() {
                 ..Default::default()
             },
         },
-        &fast_config(),
+        &PipelineConfig {
+            threads: 1,
+            ..fast_config()
+        },
     )
     .unwrap();
     assert!(result.records.len() > 50);

@@ -303,12 +303,12 @@ fn explain_renders_identical_stats_from_the_shared_arena() {
     assert_eq!(
         first_stdout,
         String::from_utf8_lossy(&again.stdout),
-        "shared-arena explain must be deterministic"
+        "4-thread explain must be deterministic"
     );
     assert_eq!(
         first_json,
         std::fs::read_to_string(&report).unwrap(),
-        "shared-arena explain JSON must be deterministic"
+        "4-thread explain JSON must be deterministic"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -166,7 +166,8 @@ fn shared_tree_fingerprints_match_serial_bit_for_bit_at_exhaustion() {
         records_fingerprint(&two.records),
         "shared-tree record fingerprint drifted between 2 and 4 workers"
     );
-    // And the shared arena agrees with the serial tree's record set.
+    // And the batched search agrees with the serial reference's record
+    // set.
     let set: RecordSet = four
         .records
         .into_iter()
@@ -177,8 +178,8 @@ fn shared_tree_fingerprints_match_serial_bit_for_bit_at_exhaustion() {
 
 #[test]
 fn parallel_runs_are_repeatable() {
-    // Same (seed, threads) twice → identical everything on the
-    // shared-arena MCTS path.
+    // Same (seed, threads) twice → identical everything on the batched
+    // MCTS path.
     let strategy = Strategy::Mcts {
         iterations: 300,
         config: MctsConfig {

@@ -1,13 +1,13 @@
-//! Property tests on the parallel exploration substrate: the striped
-//! result cache is observationally transparent, and per-worker simulator
-//! statistics merge back to exactly what a serial accumulation yields.
+//! Property tests on the parallel exploration substrate: per-worker
+//! simulator statistics merge back to exactly what a serial accumulation
+//! yields.
 
 mod common;
 
 use common::arb_small_space;
 use cuda_mpi_design_rules::dag::eval_seed;
 use cuda_mpi_design_rules::mcts::{Evaluator, SimEvaluator};
-use cuda_mpi_design_rules::par::{par_map_stream_with, StripedCache};
+use cuda_mpi_design_rules::par::par_map_stream_with;
 use cuda_mpi_design_rules::sim::{BenchConfig, Platform, SimStats, TableWorkload};
 use proptest::prelude::*;
 
@@ -21,38 +21,6 @@ fn workload_for(space: &cuda_mpi_design_rules::dag::DecisionSpace) -> TableWorkl
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Evaluating through the striped cache returns bit-identical results
-    /// to the bare evaluator for every traversal, including repeats, and
-    /// the cache's hit/miss counters account for exactly the repeats.
-    #[test]
-    fn cached_evaluation_equals_direct_evaluation(
-        space in arb_small_space(4, 200),
-        repeats in 1usize..4,
-    ) {
-        let w = workload_for(&space);
-        let platform = Platform::perlmutter_like();
-        let uniques: Vec<_> = space.enumerate().collect();
-
-        let mut direct = SimEvaluator::new(&space, &w, &platform, BenchConfig::quick());
-        let cache = StripedCache::new(8);
-        let mut inner = SimEvaluator::new(&space, &w, &platform, BenchConfig::quick());
-
-        for _ in 0..repeats {
-            for t in &uniques {
-                let seed = eval_seed(7, t);
-                let a = direct.evaluate(t, seed).unwrap();
-                let b = cache
-                    .get_or_try_insert(t.canonical_hash(), t, || inner.evaluate(t, seed))
-                    .unwrap();
-                prop_assert_eq!(a, b);
-            }
-        }
-        let stats = cache.stats();
-        prop_assert_eq!(stats.misses as usize, uniques.len());
-        prop_assert_eq!(stats.hits as usize, uniques.len() * (repeats - 1));
-        prop_assert_eq!(cache.len(), uniques.len());
-    }
 
     /// Evaluating a space partitioned across workers and merging the
     /// per-worker SimStats in worker order reproduces the serial
